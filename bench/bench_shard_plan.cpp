@@ -4,7 +4,7 @@
 // Sharding only pays when split + merge cost stays negligible against
 // the jobs themselves, and when the plan keeps the slowest worker close
 // to the mean (the parent's wall clock is the max over workers).  The
-// sweep prints the predicted makespan of both plan strategies under the
+// sweep prints the predicted makespan of the round-robin plan under the
 // estimate_cost model for mixed-shape corpora; the timed benchmarks pin
 // plan construction and store::merge throughput at corpus scale.
 
@@ -53,17 +53,16 @@ double makespan(const ShardPlan& plan, const std::vector<double>& costs) {
 
 void print_sweep() {
   std::printf("\n=== shard plans: predicted slowest-worker share (cost model) ===\n");
-  std::printf("%6s %6s | %14s %14s %14s\n", "jobs", "K", "total cost",
-              "round-robin", "cost-weighted");
+  std::printf("%6s %6s | %14s %14s\n", "jobs", "K", "total cost",
+              "round-robin");
   for (const int jobs : {281, 2810}) {
     const std::vector<double> costs = mixed_costs(jobs);
     double total = 0;
     for (const double c : costs) total += c;
     for (const int k : {2, 4, 8, 16}) {
       const double rr = makespan(ShardPlan::round_robin(jobs, k), costs);
-      const double cw = makespan(ShardPlan::cost_weighted(costs, k), costs);
-      std::printf("%6d %6d | %14.0f %10.0f (%4.2fx) %6.0f (%4.2fx)\n", jobs, k,
-                  total, rr, rr * k / total, cw, cw * k / total);
+      std::printf("%6d %6d | %14.0f %10.0f (%4.2fx)\n", jobs, k, total, rr,
+                  rr * k / total);
     }
   }
   std::printf("(x = slowest worker vs perfect split; 1.00x is linear scaling)\n\n");
@@ -76,14 +75,6 @@ void BM_RoundRobinPlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RoundRobinPlan)->Arg(281)->Arg(100000);
-
-void BM_CostWeightedPlan(benchmark::State& state) {
-  const std::vector<double> costs = mixed_costs(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ShardPlan::cost_weighted(costs, 16));
-  }
-}
-BENCHMARK(BM_CostWeightedPlan)->Arg(281)->Arg(100000);
 
 /// store::merge over a K-way split of an N-job report — the parent-side
 /// stitch cost after all workers finish.

@@ -160,9 +160,10 @@ SynthesisResponse synthesize(const SynthesisRequest& request,
       response.row = driver::BatchRunner::run_job(
           spec, checks, request.want_machine ? &machine : nullptr, tt);
     }
-    if (request.want_machine &&
-        response.row.status != driver::JobStatus::kSynthesisError &&
-        response.row.status != driver::JobStatus::kTimeout) {
+    // run_job hands the machine out as soon as synthesis returns, so it
+    // is here even when a check failed or threw; a machine that was
+    // never filled (synthesis threw, or the watchdog path) has no codes.
+    if (request.want_machine && !machine.codes.empty()) {
       response.machine = std::move(machine);
     }
   }

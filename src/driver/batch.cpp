@@ -8,6 +8,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -308,6 +309,70 @@ JobResult run_with_deadline(std::string name, double timeout_ms,
   return r;
 }
 
+void run_checks(const core::FantomMachine& machine, const BatchOptions& options,
+                JobResult& r) {
+  // Baseline (fsv-less) machines are *expected* to flag ternary checks —
+  // that is the paper's comparison point — so at most protected machines
+  // fail on flags, and only when the caller asked for the strict
+  // interpretation.
+  const bool strict = options.ternary_strict && machine.options.add_fsv;
+  if (options.verify) {
+    std::string why;
+    r.equations_verified = core::verify_equations(machine, &why);
+    if (!r.equations_verified) {
+      r.status = JobStatus::kVerifyFailed;
+      r.detail = why;
+      return;
+    }
+  }
+  if (options.ternary) {
+    const sim::TernaryReport cover = sim::ternary_verify(machine);
+    r.ternary_transitions = cover.transitions_checked;
+    r.ternary_a_violations = cover.procedure_a_violations;
+    r.ternary_b_violations = cover.procedure_b_violations;
+    if (strict && !cover.clean()) {
+      r.status = JobStatus::kHazardUnclean;
+      r.detail = cover.first_failure;
+      return;
+    }
+  }
+  if (!options.gate_ternary) return;
+  // The gate-level pass deliberately runs on the *re-imported* netlist,
+  // so every gated job exercises the whole loop: build -> to_verilog ->
+  // parse_verilog -> gate_ternary_verify.  Export or parse errors throw
+  // like any other check.
+  netlist::Netlist built;
+  (void)netlist::build_fantom(machine, built);
+  const std::string verilog = netlist::to_verilog(built, "fantom");
+  const netlist::Netlist reimported = netlist::parse_verilog(verilog);
+  if (netlist::to_verilog(reimported, "fantom") != verilog) {
+    r.status = JobStatus::kVerifyFailed;
+    r.detail = "verilog round trip is not byte-stable";
+    return;
+  }
+  const sim::TernaryReport gate = sim::gate_ternary_verify(reimported, machine);
+  r.gate_ternary_a_violations = gate.procedure_a_violations;
+  r.gate_ternary_b_violations = gate.procedure_b_violations;
+  // Both levels run one kernel over one transition set, so their flag
+  // counts differ only when the netlist computes something other than
+  // the covers.
+  if (options.ternary &&
+      (r.gate_ternary_a_violations != r.ternary_a_violations ||
+       r.gate_ternary_b_violations != r.ternary_b_violations)) {
+    r.status = JobStatus::kVerifyFailed;
+    r.detail = "gate ternary disagrees with the cover-level verdict: A/B flags " +
+               std::to_string(r.gate_ternary_a_violations) + "/" +
+               std::to_string(r.gate_ternary_b_violations) + " vs " +
+               std::to_string(r.ternary_a_violations) + "/" +
+               std::to_string(r.ternary_b_violations);
+    return;
+  }
+  if (strict && !gate.clean()) {
+    r.status = JobStatus::kHazardUnclean;
+    r.detail = gate.first_failure;
+  }
+}
+
 JobResult BatchRunner::run_job(const JobSpec& spec, const BatchOptions& options,
                                core::FantomMachine* machine_out,
                                search::TranspositionTable* tt) {
@@ -325,8 +390,14 @@ JobResult BatchRunner::run_job(const JobSpec& spec, const BatchOptions& options,
   r.input_states = spec.table.num_states();
   const auto start = Clock::now();
   try {
-    const core::FantomMachine machine =
-        core::synthesize(spec.table, spec.options, tt);
+    // The machine lands in the caller's slot as soon as synthesis
+    // returns, so the caller still gets it when a later check fails or
+    // throws.  Without a slot it is moved, never copied, into `local`.
+    std::optional<core::FantomMachine> local;
+    const core::FantomMachine& machine =
+        machine_out != nullptr
+            ? (*machine_out = core::synthesize(spec.table, spec.options, tt))
+            : local.emplace(core::synthesize(spec.table, spec.options, tt));
     r.synthesized_states = machine.table.num_states();
     r.state_vars = machine.layout.num_state_vars;
     r.fl_hazards = static_cast<int>(machine.hazards.fl.size());
@@ -337,52 +408,7 @@ JobResult BatchRunner::run_job(const JobSpec& spec, const BatchOptions& options,
     r.gate_count = machine.gate_count();
     r.cover_cubes = static_cast<int>(machine.cover_bounds.cubes);
     r.cover_gap = static_cast<int>(machine.cover_bounds.gap());
-
-    if (options.verify) {
-      std::string why;
-      r.equations_verified = core::verify_equations(machine, &why);
-      if (!r.equations_verified) {
-        r.status = JobStatus::kVerifyFailed;
-        r.detail = why;
-      }
-    }
-    if (options.ternary && r.status == JobStatus::kOk) {
-      const sim::TernaryReport ternary = sim::ternary_verify(machine);
-      r.ternary_transitions = ternary.transitions_checked;
-      r.ternary_a_violations = ternary.procedure_a_violations;
-      r.ternary_b_violations = ternary.procedure_b_violations;
-      // Baseline (fsv-less) machines are *expected* to flag here — that is
-      // the paper's comparison point — so at most protected machines fail,
-      // and only when the caller asked for the strict interpretation.
-      if (options.ternary_strict && !ternary.clean() && spec.options.add_fsv) {
-        r.status = JobStatus::kHazardUnclean;
-        r.detail = ternary.first_failure;
-      }
-    }
-    if (options.gate_ternary && r.status == JobStatus::kOk) {
-      // The gate-level pass deliberately runs on the *re-imported*
-      // netlist, so every gated job exercises the whole loop: build ->
-      // to_verilog -> parse_verilog -> gate_ternary_verify.  Export or
-      // parse errors surface as kSynthesisError like any other throw.
-      netlist::Netlist built;
-      (void)netlist::build_fantom(machine, built);
-      const std::string verilog = netlist::to_verilog(built, "fantom");
-      const netlist::Netlist reimported = netlist::parse_verilog(verilog);
-      if (netlist::to_verilog(reimported, "fantom") != verilog) {
-        r.status = JobStatus::kVerifyFailed;
-        r.detail = "verilog round trip is not byte-stable";
-      } else {
-        const sim::TernaryReport gate =
-            sim::gate_ternary_verify(reimported, machine);
-        r.gate_ternary_a_violations = gate.procedure_a_violations;
-        r.gate_ternary_b_violations = gate.procedure_b_violations;
-        if (options.ternary_strict && !gate.clean() && spec.options.add_fsv) {
-          r.status = JobStatus::kHazardUnclean;
-          r.detail = gate.first_failure;
-        }
-      }
-    }
-    if (machine_out) *machine_out = machine;
+    run_checks(machine, options, r);
   } catch (const std::exception& e) {
     r.status = JobStatus::kSynthesisError;
     r.detail = e.what();

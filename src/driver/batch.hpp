@@ -33,7 +33,10 @@ namespace seance::driver {
 enum class JobStatus : std::uint8_t {
   kOk = 0,          ///< synthesized; every requested check passed
   kSynthesisError,  ///< core::synthesize (or table prep) threw
-  kVerifyFailed,    ///< core::verify_equations rejected the machine
+  kVerifyFailed,    ///< core::verify_equations rejected the machine, the
+                    ///< Verilog round trip was not byte-stable, or the
+                    ///< gate-level ternary verdict disagreed with the
+                    ///< cover-level one
   kHazardUnclean,   ///< ternary flags, promoted to failure only under
                     ///< BatchOptions::ternary_strict (Eichelberger is
                     ///< conservative for MIC transitions, so flags are
@@ -141,8 +144,8 @@ struct JobResult {
   /// Gate-level Eichelberger counts (BatchOptions::gate_ternary): the
   /// machine's netlist is exported to Verilog, re-imported, and verified
   /// at the gate level, so these columns witness the full round trip.
-  /// They must equal the cover-level columns on every corpus job — the
-  /// CI drift gate diffs both pairs.  Zero when the pass did not run.
+  /// run_checks fails the row when they differ from the cover-level
+  /// columns.  Zero when the pass did not run.
   int gate_ternary_a_violations = 0;
   int gate_ternary_b_violations = 0;
 
@@ -210,8 +213,10 @@ struct BatchOptions {
   /// Also run the gate-level ternary pass (sim::gate_ternary_verify) on
   /// the netlist re-imported from its own Verilog export, closing the
   /// export -> parse -> verify loop per job.  The re-export must be
-  /// byte-identical (kVerifyFailed otherwise), and under ternary_strict
-  /// gate-level flags gate exactly like cover-level ones.
+  /// byte-identical and, when `ternary` ran too, the gate-level flag
+  /// counts must equal the cover-level ones (kVerifyFailed otherwise);
+  /// under ternary_strict gate-level flags gate exactly like cover-level
+  /// ones.
   bool gate_ternary = false;
   /// Per-job wall-clock budget in milliseconds; 0 disables the watchdog.
   /// A job that overruns is recorded as kTimeout and its worker thread is
@@ -236,6 +241,18 @@ struct BatchOptions {
 /// Exposed so tests can drive the timeout path with a deterministic body.
 [[nodiscard]] JobResult run_with_deadline(std::string name, double timeout_ms,
                                           std::function<JobResult()> body);
+
+/// The check pipeline, the one sequence batch, serve and the
+/// single-table CLI all run on a synthesized machine (run_job calls it):
+/// equation verify, cover-level ternary, then build -> to_verilog ->
+/// parse_verilog -> byte-stable re-export -> gate-level ternary on the
+/// re-imported netlist, each as `options` asks and only while every
+/// earlier check passed.  When both ternary passes ran, their Procedure
+/// A/B counts must agree, else kVerifyFailed.  Fills the verification
+/// columns of `row` and, on a failed check, its status and detail;
+/// throws what a check throws (run_job records it as kSynthesisError).
+void run_checks(const core::FantomMachine& machine, const BatchOptions& options,
+                JobResult& row);
 
 /// Deterministic per-job seed: splitmix64 of (base, index).  Stable across
 /// platforms and releases — golden batch reports depend on it.
@@ -280,10 +297,12 @@ class BatchRunner {
   [[nodiscard]] BatchReport run() const;
 
   /// Executes a single spec inline (the pool's worker body; exposed for
-  /// tests and for callers that want their own scheduling).  When
-  /// `machine_out` is non-null and synthesis succeeds, the machine is
-  /// copied out — the api facade's single-table path needs the equations
-  /// and netlist alongside the metrics row without running twice.
+  /// tests and for callers that want their own scheduling): synthesis,
+  /// then run_checks.  When `machine_out` is non-null, the machine is
+  /// moved into it as soon as synthesis returns — even when a check
+  /// later fails or throws — so the api facade's single-table path gets
+  /// the equations and netlist alongside the metrics row without running
+  /// twice.
   /// `tt` (optional) is the worker's transposition table, passed through
   /// to core::synthesize, which clears it on entry: entries are scoped
   /// to this one job (cross-job warmth would leak a truncated search's

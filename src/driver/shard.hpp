@@ -8,22 +8,13 @@
 // re-exec'd worker compute the plan independently and must agree on it,
 // and `--resume` must map a stale shard file back to the same slice.
 //
-// Two strategies:
-//   * round_robin — job i lands in slice i % K.  The default and the
-//     worker-protocol contract: it needs no per-job information, so a
-//     worker can recover its slice from the corpus recipe alone.
-//   * cost_weighted — greedy LPT over caller-supplied cost estimates,
-//     for embedders whose corpora mix wildly uneven shapes.  Slices
-//     keep submission order internally, so per-slice runs stay
-//     deterministic.
-//
-// Either way the merge reassembles jobs by name into the original
-// submission order, so the choice of plan never changes the merged
-// report's bytes — only the per-worker wall clocks.
+// The plan is round-robin — job i lands in slice i % K — and that is the
+// worker-protocol contract: it needs no per-job information, so a worker
+// can recover its slice from the corpus recipe alone.  The merge
+// reassembles jobs by name into the original submission order.
 
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -46,13 +37,6 @@ struct ShardPlan {
   /// Job i -> slice i % K.  Throws std::invalid_argument for
   /// num_shards < 1 or job_count < 0.
   [[nodiscard]] static ShardPlan round_robin(int job_count, int num_shards);
-
-  /// Greedy longest-processing-time split: jobs are assigned in
-  /// decreasing cost order (ties broken by lower index) to the least
-  /// loaded slice (ties broken by lower shard id), then each slice is
-  /// sorted back into submission order.  Deterministic for equal input.
-  [[nodiscard]] static ShardPlan cost_weighted(std::span<const double> costs,
-                                               int num_shards);
 
   // ---- Steal-safe slice naming (the fleet/lease currency) ----------------
   //
@@ -85,9 +69,9 @@ struct ShardPlan {
                                        int fallback);
 };
 
-/// A coarse per-job cost estimate for cost_weighted plans: the flow
-/// chart area (states × input columns) that every pipeline stage walks.
-/// Integer-derived, so identical across platforms.
+/// A coarse per-job cost estimate (the fleet's longest-first ordering
+/// key): the flow chart area (states × input columns) that every
+/// pipeline stage walks.  Integer-derived, so identical across platforms.
 [[nodiscard]] double estimate_cost(const JobSpec& spec);
 
 }  // namespace seance::driver

@@ -1,12 +1,14 @@
 #include "sim/ternary_netsim.hpp"
 
+#include <algorithm>
 #include <cstddef>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "logic/ternary.hpp"
+#include "sim/ternary_kernel.hpp"
 
 namespace seance::sim {
 
@@ -17,9 +19,7 @@ using netlist::Netlist;
 
 namespace {
 
-using detail::update_slot;
-
-Val3 to_val3(bool b) { return b ? Val3::k1 : Val3::k0; }
+using detail::to_val3;
 
 /// Where the iteration cuts the gate graph: the primary inputs it
 /// drives and the feedback nets it holds as explicit ternary slots.
@@ -81,39 +81,45 @@ CutPlan locate_cuts(const Netlist& net, const core::VariableLayout& layout) {
   return plan;
 }
 
-/// Ternary evaluation of cut cones.  Slots hold the current cut values;
-/// every "next value" computation re-walks the cone with a fresh memo so
-/// Gauss-Seidel updates made earlier in the same pass are visible, which
-/// is exactly what the cover-level iterate_once does by evaluating
-/// covers against the in-place state vector.
+/// Gate-level evaluator for detail::run_procedures.  The slots are the
+/// cut nets; a feedback function is its cut net's gate function over the
+/// current inputs and slots.  Every evaluation re-walks the cone with a
+/// fresh memo, so Gauss-Seidel updates made earlier in the same pass are
+/// visible — as they are to the cover-level evaluator, which reads the
+/// in-place state vector.
 class GateEval {
  public:
-  GateEval(const Netlist& net, const CutPlan& plan)
+  GateEval(const Netlist& net, CutPlan plan)
       : net_(net),
+        plan_(std::move(plan)),
         input_val_(static_cast<std::size_t>(net.size()), Val3::k0),
         cut_slot_(static_cast<std::size_t>(net.size()), Val3::k0),
         is_cut_(static_cast<std::size_t>(net.size()), 0),
         memo_(static_cast<std::size_t>(net.size()), kUnset),
         on_stack_(static_cast<std::size_t>(net.size()), 0) {
-    for (const int y : plan.y) is_cut_[static_cast<std::size_t>(y)] = 1;
-    if (plan.fsv >= 0) is_cut_[static_cast<std::size_t>(plan.fsv)] = 1;
+    for (const int y : plan_.y) is_cut_[static_cast<std::size_t>(y)] = 1;
+    if (plan_.fsv >= 0) is_cut_[static_cast<std::size_t>(plan_.fsv)] = 1;
   }
 
-  void set_input(int net, Val3 v) { input_val_[static_cast<std::size_t>(net)] = v; }
-  void set_slot(int net, Val3 v) { cut_slot_[static_cast<std::size_t>(net)] = v; }
-  [[nodiscard]] Val3 slot(int net) const {
-    return cut_slot_[static_cast<std::size_t>(net)];
+  void set_input(int i, Val3 v) {
+    input_val_[static_cast<std::size_t>(plan_.x[static_cast<std::size_t>(i)])] = v;
   }
-
-  /// The gate function of `net` over the current input values and cut
-  /// slots — for a cut net this is its *next* value, not its slot.
-  [[nodiscard]] Val3 next_value(int net) {
-    std::fill(memo_.begin(), memo_.end(), kUnset);
-    return eval_function(net);
-  }
+  Val3& state(int n) { return slot(plan_.y[static_cast<std::size_t>(n)]); }
+  Val3& fsv() { return slot(plan_.fsv); }
+  Val3 next_state(int n) { return next_value(plan_.y[static_cast<std::size_t>(n)]); }
+  Val3 next_fsv() { return next_value(plan_.fsv); }
 
  private:
   static constexpr signed char kUnset = -1;
+
+  Val3& slot(int net) { return cut_slot_[static_cast<std::size_t>(net)]; }
+
+  /// The gate function of `net` over the current input values and cut
+  /// slots — for a cut net this is its *next* value, not its slot.
+  Val3 next_value(int net) {
+    std::fill(memo_.begin(), memo_.end(), kUnset);
+    return eval_function(net);
+  }
 
   Val3 eval_net(int i) {
     if (is_cut_[static_cast<std::size_t>(i)] != 0) {
@@ -164,6 +170,7 @@ class GateEval {
   }
 
   const Netlist& net_;
+  CutPlan plan_;
   std::vector<Val3> input_val_;
   std::vector<Val3> cut_slot_;
   std::vector<char> is_cut_;
@@ -171,130 +178,13 @@ class GateEval {
   std::vector<char> on_stack_;
 };
 
-/// One Gauss-Seidel pass over the cut slots, mirroring the cover-level
-/// iterate_once: fsv first (it feeds the Y cones), then y0..yN-1.
-bool iterate_once(GateEval& eval, const CutPlan& plan, bool widen_only,
-                  bool fsv_low) {
-  bool changed = false;
-  if (plan.fsv >= 0) {
-    const Val3 next = fsv_low ? Val3::k0 : eval.next_value(plan.fsv);
-    Val3 slot = eval.slot(plan.fsv);
-    changed |= update_slot(slot, next, widen_only);
-    eval.set_slot(plan.fsv, slot);
-  }
-  for (const int y : plan.y) {
-    const Val3 next = eval.next_value(y);
-    Val3 slot = eval.slot(y);
-    changed |= update_slot(slot, next, widen_only);
-    eval.set_slot(y, slot);
-  }
-  return changed;
-}
-
-/// Same bound and convergence contract as the cover-level verifier.
-[[nodiscard]] bool run_to_fixpoint(GateEval& eval, const CutPlan& plan,
-                                   int num_state_vars, bool widen_only,
-                                   bool fsv_low) {
-  const int bound = 4 * (num_state_vars + 2);
-  for (int i = 0; i < bound; ++i) {
-    if (!iterate_once(eval, plan, widen_only, fsv_low)) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 TernaryReport gate_ternary_verify(const Netlist& netlist,
                                   const core::FantomMachine& machine,
                                   bool fsv_low) {
-  TernaryReport report;
-  const flowtable::FlowTable& table = machine.table;
-  const core::VariableLayout& layout = machine.layout;
-  const CutPlan plan = locate_cuts(netlist, layout);
-  GateEval eval(netlist, plan);
-
-  for (int s_a = 0; s_a < table.num_states(); ++s_a) {
-    const std::uint32_t code_a = machine.codes[static_cast<std::size_t>(s_a)];
-    for (const int col_a : table.stable_columns(s_a)) {
-      for (int col_b = 0; col_b < table.num_columns(); ++col_b) {
-        if (col_b == col_a || !table.entry(s_a, col_b).specified()) continue;
-        const int s_b = table.entry(s_a, col_b).next;
-        const std::uint32_t code_b = machine.codes[static_cast<std::size_t>(s_b)];
-        ++report.transitions_checked;
-
-        // ---- Procedure A: changing inputs at X, widen to fixpoint ----
-        const std::uint32_t diff =
-            static_cast<std::uint32_t>(col_a) ^ static_cast<std::uint32_t>(col_b);
-        for (int i = 0; i < layout.num_inputs; ++i) {
-          const std::uint32_t bit = 1u << i;
-          eval.set_input(plan.x[static_cast<std::size_t>(i)],
-                         (diff & bit) ? Val3::kX : to_val3((col_a & bit) != 0));
-        }
-        for (int n = 0; n < layout.num_state_vars; ++n) {
-          eval.set_slot(plan.y[static_cast<std::size_t>(n)],
-                        to_val3((code_a >> n) & 1u));
-        }
-        if (plan.fsv >= 0) eval.set_slot(plan.fsv, Val3::k0);
-        if (!run_to_fixpoint(eval, plan, layout.num_state_vars,
-                             /*widen_only=*/true, fsv_low)) {
-          ++report.fixpoint_overruns;
-          if (report.first_failure.empty()) {
-            std::ostringstream msg;
-            msg << "procedure A: widening did not converge on "
-                << table.state_name(s_a) << " col " << col_a << " -> " << col_b;
-            report.first_failure = msg.str();
-          }
-        }
-
-        for (int n = 0; n < layout.num_state_vars; ++n) {
-          const std::uint32_t bit = 1u << n;
-          if ((code_a & bit) != (code_b & bit)) continue;  // allowed to move
-          if (eval.slot(plan.y[static_cast<std::size_t>(n)]) == Val3::kX) {
-            ++report.procedure_a_violations;
-            if (report.first_failure.empty()) {
-              std::ostringstream msg;
-              msg << "procedure A: y" << n << " went X on " << table.state_name(s_a)
-                  << " col " << col_a << " -> " << col_b;
-              report.first_failure = msg.str();
-            }
-          }
-        }
-
-        // ---- Procedure B: final inputs, narrow to fixpoint -----------
-        for (int i = 0; i < layout.num_inputs; ++i) {
-          eval.set_input(plan.x[static_cast<std::size_t>(i)],
-                         to_val3((static_cast<std::uint32_t>(col_b) >> i) & 1u));
-        }
-        if (!run_to_fixpoint(eval, plan, layout.num_state_vars,
-                             /*widen_only=*/false, fsv_low)) {
-          ++report.fixpoint_overruns;
-          if (report.first_failure.empty()) {
-            std::ostringstream msg;
-            msg << "procedure B: settling did not converge on "
-                << table.state_name(s_a) << " col " << col_a << " -> " << col_b;
-            report.first_failure = msg.str();
-          }
-        }
-        bool resolved = true;
-        for (int n = 0; n < layout.num_state_vars; ++n) {
-          if (eval.slot(plan.y[static_cast<std::size_t>(n)]) !=
-              to_val3((code_b >> n) & 1u)) {
-            resolved = false;
-          }
-        }
-        if (!resolved) {
-          ++report.procedure_b_violations;
-          if (report.first_failure.empty()) {
-            std::ostringstream msg;
-            msg << "procedure B: unresolved settling on " << table.state_name(s_a)
-                << " col " << col_a << " -> " << col_b;
-            report.first_failure = msg.str();
-          }
-        }
-      }
-    }
-  }
-  return report;
+  GateEval eval(netlist, locate_cuts(netlist, machine.layout));
+  return detail::run_procedures(machine, eval, fsv_low);
 }
 
 TernaryReport gate_ternary_verify(const core::FantomMachine& machine,

@@ -16,6 +16,7 @@
 #include "bench_suite/generator.hpp"
 #include "core/synthesize.hpp"
 #include "flowtable/table.hpp"
+#include "logic/expr.hpp"
 
 namespace seance::driver {
 namespace {
@@ -103,6 +104,33 @@ TEST(BatchRunner, RunJobMatchesDirectSynthesis) {
   EXPECT_EQ(r.gate_count, machine.gate_count());
   EXPECT_EQ(r.depth.total_depth, machine.depth_report().total_depth);
   EXPECT_TRUE(r.equations_verified);
+}
+
+TEST(RunChecks, GateVerdictDisagreeingWithCoversFailsTheRow) {
+  // build_fantom reads only the factored expressions, and
+  // verify_equations checks them against the covers on binary points
+  // only.  OR-ing in x0·x0' keeps Y0 binary-equivalent but injects a
+  // static hazard: with x0 at X the term is X, so the gate-level pass
+  // alone sees Y0 go X where its cover holds 0.
+  core::FantomMachine machine =
+      core::synthesize(bench_suite::load(bench_suite::by_name("lion")));
+  BatchOptions checks;
+  checks.gate_ternary = true;
+  JobResult clean;
+  run_checks(machine, checks, clean);
+  ASSERT_EQ(clean.status, JobStatus::kOk) << clean.detail;
+
+  machine.y[0].expr = logic::Expr::make_or(
+      {machine.y[0].expr, logic::Expr::make_and({logic::Expr::var(0),
+                                                 logic::Expr::negate(
+                                                     logic::Expr::var(0))})});
+  JobResult broken;
+  run_checks(machine, checks, broken);
+  EXPECT_TRUE(broken.equations_verified);
+  EXPECT_EQ(broken.ternary_a_violations, clean.ternary_a_violations);
+  EXPECT_EQ(broken.ternary_b_violations, clean.ternary_b_violations);
+  EXPECT_EQ(broken.status, JobStatus::kVerifyFailed);
+  EXPECT_NE(broken.detail.find("disagrees"), std::string::npos) << broken.detail;
 }
 
 TEST(BatchRunner, GeneratedJobsUseDerivedSeeds) {

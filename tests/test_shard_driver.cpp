@@ -8,12 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -64,30 +62,6 @@ TEST(ShardPlan, SingleShardIsTheWholeCorpus) {
 TEST(ShardPlan, InvalidArgumentsThrow) {
   EXPECT_THROW((void)ShardPlan::round_robin(1, 0), std::invalid_argument);
   EXPECT_THROW((void)ShardPlan::round_robin(-1, 2), std::invalid_argument);
-  EXPECT_THROW((void)ShardPlan::cost_weighted({}, 0), std::invalid_argument);
-}
-
-TEST(ShardPlan, CostWeightedCoversEveryJobAndBalancesLoad) {
-  const std::vector<double> costs{8, 1, 1, 1, 1, 1, 1, 1};
-  const ShardPlan plan = ShardPlan::cost_weighted(costs, 2);
-  // LPT: the heavy job pins shard 0; the seven unit jobs land on shard 1
-  // until its load reaches 7, then the tie goes back to the lower id.
-  std::set<int> covered;
-  for (const auto& slice : plan.slices) {
-    for (const int j : slice) EXPECT_TRUE(covered.insert(j).second);
-  }
-  EXPECT_EQ(covered.size(), costs.size());
-  double load0 = 0, load1 = 0;
-  for (const int j : plan.slices[0]) load0 += costs[static_cast<std::size_t>(j)];
-  for (const int j : plan.slices[1]) load1 += costs[static_cast<std::size_t>(j)];
-  EXPECT_LE(std::max(load0, load1), 8.0);  // never worse than the heavy job
-  // Deterministic: same input, same plan.
-  const ShardPlan again = ShardPlan::cost_weighted(costs, 2);
-  EXPECT_EQ(plan.slices, again.slices);
-  // Slices keep submission order.
-  for (const auto& slice : plan.slices) {
-    EXPECT_TRUE(std::is_sorted(slice.begin(), slice.end()));
-  }
 }
 
 TEST(ShardPlan, EstimateCostGrowsWithChartArea) {
@@ -157,40 +131,6 @@ TEST(ShardMerge, ShardThenMergeIsByteIdenticalToSingleProcessForEveryK) {
     // statuses, every metric column, and the identity header.
     EXPECT_EQ(store::serialize(merged), want) << "K=" << k;
   }
-}
-
-TEST(ShardMerge, CostWeightedPlanMergesToTheSameBytes) {
-  // The merge reorders by name, so the plan choice must never show up in
-  // the merged report.
-  BatchOptions options;
-  options.threads = 2;
-  BatchRunner full = mixed_corpus(options);
-  const store::CorpusIdentity identity = mixed_identity(options);
-  store::StoredReport baseline;
-  baseline.identity = identity;
-  baseline.report = full.run();
-
-  std::vector<double> costs;
-  std::vector<std::string> names;
-  for (const auto& spec : full.jobs()) {
-    costs.push_back(estimate_cost(spec));
-    names.push_back(spec.name);
-  }
-  const ShardPlan plan = ShardPlan::cost_weighted(costs, 3);
-  std::vector<store::StoredReport> shards;
-  for (int s = 0; s < 3; ++s) {
-    BatchRunner slice(options);
-    for (const int job : plan.slices[static_cast<std::size_t>(s)]) {
-      slice.add(full.jobs()[static_cast<std::size_t>(job)]);
-    }
-    store::StoredReport shard;
-    shard.identity = identity;
-    shard.identity.shard = std::to_string(s) + "/3";
-    shard.report = slice.run();
-    shards.push_back(std::move(shard));
-  }
-  const store::StoredReport merged = store::merge(identity, shards, names);
-  EXPECT_EQ(store::serialize(merged), store::serialize(baseline));
 }
 
 #ifdef SEANCE_SHARD_CLI_TESTS

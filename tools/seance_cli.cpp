@@ -83,8 +83,6 @@
 #include "netlist/verilog.hpp"
 #include "option_table.hpp"
 #include "sim/harness.hpp"
-#include "sim/ternary_netsim.hpp"
-#include "sim/ternary_verify.hpp"
 #include "store/store.hpp"
 
 namespace {
@@ -1044,15 +1042,16 @@ int run_single(int argc, char** argv) {
     return 1;
   }
 
-  // The CLI runs its own verification reporting below, so the facade is
-  // asked only for the machine (checks off, no cache: machine requests
-  // always take the cold path).
+  // The facade runs the checks (run_job's pipeline, the same one batch
+  // and serve run) and keeps the machine for the report below (no cache:
+  // machine requests always take the cold path).
   seance::api::SynthesisRequest request;
   request.name = target;
   request.table = std::move(flow);
   request.options = options;
-  request.verify = false;
-  request.ternary = false;
+  request.verify = verify;
+  request.ternary = verify;
+  request.gate_ternary = verify && gate_ternary;
   request.want_machine = true;
   const seance::api::SynthesisResponse response = seance::api::synthesize(request);
   if (!response.machine) {
@@ -1060,6 +1059,7 @@ int run_single(int argc, char** argv) {
     return 1;
   }
   const seance::core::FantomMachine& machine = *response.machine;
+  const seance::driver::JobResult& row = response.row;
 
   if (!quiet) {
     std::printf("%s", machine.report().c_str());
@@ -1089,43 +1089,27 @@ int run_single(int argc, char** argv) {
   }
 
   if (verify) {
-    std::string why;
-    if (!seance::core::verify_equations(machine, &why)) {
-      std::printf("equation verification: FAIL (%s)\n", why.c_str());
+    if (!row.equations_verified) {
+      std::printf("equation verification: FAIL (%s)\n", row.detail.c_str());
       return 1;
     }
     std::printf("equation verification: PASS\n");
-    const auto ternary = seance::sim::ternary_verify(machine);
+    if (!row.ok()) {
+      std::printf("verification: FAIL (%s: %s)\n",
+                  seance::driver::to_string(row.status), row.detail.c_str());
+      return 1;
+    }
+    // One kernel walks one transition set on both levels, so the gate
+    // pass checked exactly the cover pass's transitions.
     std::printf("ternary analysis: %d transitions, %d/%d conservative flags "
                 "(procedure A/B)\n",
-                ternary.transitions_checked, ternary.procedure_a_violations,
-                ternary.procedure_b_violations);
+                row.ternary_transitions, row.ternary_a_violations,
+                row.ternary_b_violations);
     if (gate_ternary) {
-      seance::netlist::Netlist built;
-      (void)seance::netlist::build_fantom(machine, built);
-      const std::string verilog = seance::netlist::to_verilog(built, "fantom");
-      seance::netlist::Netlist reimported;
-      try {
-        reimported = seance::netlist::parse_verilog(verilog);
-      } catch (const std::exception& e) {
-        std::printf("verilog round trip: FAIL (%s)\n", e.what());
-        return 1;
-      }
-      if (seance::netlist::to_verilog(reimported, "fantom") != verilog) {
-        std::printf("verilog round trip: FAIL (re-export not byte-stable)\n");
-        return 1;
-      }
-      const auto gate = seance::sim::gate_ternary_verify(reimported, machine);
       std::printf("gate ternary: %d transitions, %d/%d conservative flags "
                   "(procedure A/B)\n",
-                  gate.transitions_checked, gate.procedure_a_violations,
-                  gate.procedure_b_violations);
-      if (gate.procedure_a_violations != ternary.procedure_a_violations ||
-          gate.procedure_b_violations != ternary.procedure_b_violations) {
-        std::printf("gate ternary: FAIL (disagrees with the cover-level "
-                    "verdict)\n");
-        return 1;
-      }
+                  row.ternary_transitions, row.gate_ternary_a_violations,
+                  row.gate_ternary_b_violations);
     }
     seance::sim::HarnessOptions harness_options;
     harness_options.max_skew = 2;
