@@ -146,7 +146,7 @@ void BM_PrimeEngineDenseDc(benchmark::State& state) {
         seance::logic::prime_engine::compute_primes(vars, f.on, f.dc));
   }
 }
-BENCHMARK(BM_PrimeEngineDenseDc)->DenseRange(8, 14)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PrimeEngineDenseDc)->DenseRange(8, 15)->Unit(benchmark::kMicrosecond);
 
 // Primes plus the packed incidence bitmatrix — the exact call
 // select_cover makes, so this is the per-equation cost of the QM front

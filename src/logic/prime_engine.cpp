@@ -1,14 +1,19 @@
 #include "logic/prime_engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
+
+#include "logic/absorb_index.hpp"
 
 namespace seance::logic::prime_engine {
 
 namespace {
+
+using detail::AbsorbIndex;
+using detail::SharpCube;
 
 // Packed level word: [care:24][popcount(value):6][value:24].  Sorting
 // these words groups equal care masks into contiguous runs and, inside a
@@ -49,144 +54,6 @@ std::uint32_t value_of(std::uint64_t w) {
 // one-directional absorption can leave behind.
 constexpr std::size_t kSharpOffFactor = 8;  // sharp iff |OFF| <= space/8
 
-struct SharpCube {
-  std::uint32_t care;
-  std::uint32_t value;
-};
-
-// Open-addressing set of packed (care << 24 | value) words — the inner
-// probe of the absorption index below, so it has to beat std::unordered
-// hashing by a wide margin: power-of-two capacity, splitmix64-finalizer
-// mix, linear probing, ~half load.  Keys stay under 2^48 (care and value
-// are kMaxVars-bit), so all-ones is a safe empty sentinel.
-class FlatCubeSet {
- public:
-  void reset(std::size_t expected) {
-    std::size_t cap = 64;
-    while (cap < expected * 2) cap <<= 1;
-    if (cap != slots_.size()) {
-      slots_.assign(cap, kEmpty);
-    } else {
-      std::fill(slots_.begin(), slots_.end(), kEmpty);
-    }
-    mask_ = cap - 1;
-    count_ = 0;
-  }
-
-  /// True when the key was not present yet.
-  bool insert(std::uint32_t care, std::uint32_t value) {
-    if ((count_ + 1) * 2 > slots_.size()) grow();
-    return insert_key(pack(care, value));
-  }
-
-  [[nodiscard]] bool contains(std::uint32_t care, std::uint32_t value) const {
-    const std::uint64_t key = pack(care, value);
-    for (std::size_t i = mix(key) & mask_;; i = (i + 1) & mask_) {
-      const std::uint64_t slot = slots_[i];
-      if (slot == key) return true;
-      if (slot == kEmpty) return false;
-    }
-  }
-
- private:
-  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-  static std::uint64_t pack(std::uint32_t care, std::uint32_t value) {
-    return (std::uint64_t{care} << 24) | value;
-  }
-  static std::uint64_t mix(std::uint64_t z) {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-  bool insert_key(std::uint64_t key) {
-    for (std::size_t i = mix(key) & mask_;; i = (i + 1) & mask_) {
-      if (slots_[i] == key) return false;
-      if (slots_[i] == kEmpty) {
-        slots_[i] = key;
-        ++count_;
-        return true;
-      }
-    }
-  }
-  void grow() {
-    std::vector<std::uint64_t> old = std::move(slots_);
-    slots_.assign(old.size() * 2, kEmpty);
-    mask_ = slots_.size() - 1;
-    count_ = 0;
-    for (const std::uint64_t key : old) {
-      if (key != kEmpty) (void)insert_key(key);
-    }
-  }
-
-  std::vector<std::uint64_t> slots_;
-  std::size_t mask_ = 0;
-  std::size_t count_ = 0;
-};
-
-// Absorption index over the growing antichain.  A cube (c, v) absorbs a
-// fragment (fc, fv) iff c ⊆ fc and v == fv & c (values never carry bits
-// outside care), so the linear antichain sweep — quadratic in the prime
-// count, the hot spot on 14+-var high-DC charts (ROADMAP) — can become
-// a keyed lookup: an absorber's care is *derivable* from the fragment's.
-// Measured on those charts, ~85% of absorbers sit at most two care bits
-// below the fragment, so the probe enumerates every care submask at
-// distance 0, 1, and 2 directly against the flat set, then covers the
-// thin deep tail by scanning the distinct care masks bucketed at
-// popcount <= pc(fc) - 3 — by then a handful of buckets holding few
-// masks, each resolved with one probe at (care, fv & care).
-class AbsorbIndex {
- public:
-  void reset(std::size_t expected) {
-    cubes_.reset(expected);
-    seen_cares_.reset(expected / 4 + 1);
-    for (int p = 0; p <= highest_pc_; ++p) cares_by_pc_[p].clear();
-    highest_pc_ = 0;
-  }
-
-  void insert(const SharpCube& c) {
-    (void)cubes_.insert(c.care, c.value);
-    // Care-only dedup through a second flat set (key (0, care) — cares
-    // are kMaxVars-bit, so they fit the value field): this runs once per
-    // antichain cube per OFF point, which is exactly the rebuild path
-    // the flat set exists to keep std-hashing out of.
-    if (seen_cares_.insert(0, c.care)) {
-      const int pc = std::popcount(c.care);
-      cares_by_pc_[static_cast<std::size_t>(pc)].push_back(c.care);
-      highest_pc_ = pc > highest_pc_ ? pc : highest_pc_;
-    }
-  }
-
-  [[nodiscard]] bool absorbs(const SharpCube& f) const {
-    if (cubes_.contains(f.care, f.value)) return true;
-    for (std::uint32_t bits = f.care; bits != 0; bits &= bits - 1) {
-      const std::uint32_t b1 = bits & (0u - bits);
-      if (cubes_.contains(f.care ^ b1, f.value & ~b1)) return true;
-      for (std::uint32_t bits2 = bits & (bits - 1); bits2 != 0;
-           bits2 &= bits2 - 1) {
-        const std::uint32_t b2 = bits2 & (0u - bits2);
-        if (cubes_.contains(f.care ^ b1 ^ b2, f.value & ~(b1 | b2))) {
-          return true;
-        }
-      }
-    }
-    const int pc = std::popcount(f.care);
-    const int top = pc - 3 < highest_pc_ ? pc - 3 : highest_pc_;
-    for (int p = 0; p <= top; ++p) {
-      for (const std::uint32_t care : cares_by_pc_[static_cast<std::size_t>(p)]) {
-        if ((care & ~f.care) != 0) continue;
-        if (cubes_.contains(care, f.value & care)) return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  FlatCubeSet cubes_;
-  FlatCubeSet seen_cares_;
-  std::array<std::vector<std::uint32_t>, kMaxVars + 1> cares_by_pc_;
-  int highest_pc_ = 0;
-};
-
 std::vector<std::uint64_t> sharp_primes(std::uint32_t full,
                                         const std::vector<std::uint64_t>& seen,
                                         std::size_t space) {
@@ -203,39 +70,41 @@ std::vector<std::uint64_t> sharp_primes(std::uint32_t full,
   }
 
   // Small antichains absorb faster by brute scan than through hashing,
-  // so the index only takes over once the linear sweep would hurt.
+  // so the index is built once, when the antichain first reaches this
+  // size, and maintained from then on.
   constexpr std::size_t kIndexThreshold = 64;
   std::vector<SharpCube> cubes{{0u, 0u}};
-  std::vector<SharpCube> next;
   std::vector<SharpCube> fresh;
-  AbsorbIndex index;
+  std::optional<AbsorbIndex> index;
   for (std::uint32_t o : off) {
-    next.clear();
+    if (!index && cubes.size() >= kIndexThreshold) index.emplace(full, cubes);
+    // Compact the survivors in place; every cube containing o leaves the
+    // antichain (and the index) and is replaced by its fragments — one
+    // free variable fixed opposite to o each, together exactly c minus
+    // the point o.
     fresh.clear();
-    const bool use_index = cubes.size() >= kIndexThreshold;
-    if (use_index) index.reset(cubes.size() * 2);
+    std::size_t kept = 0;
     for (const SharpCube& c : cubes) {
       if (((o ^ c.value) & c.care) != 0) {
-        next.push_back(c);
-        if (use_index) index.insert(c);
+        cubes[kept++] = c;
         continue;
       }
-      // c contains o: the fragments (one free variable fixed opposite
-      // to o) cover exactly c minus the point o.
+      if (index) index->erase(c);
       for (std::uint32_t bits = full & ~c.care; bits != 0; bits &= bits - 1) {
         const std::uint32_t b = bits & (0u - bits);
         fresh.push_back({c.care | b, c.value | (~o & b)});
       }
     }
+    cubes.resize(kept);
     // One-directional absorption: a fragment sits inside its parent, so
     // no surviving cube can be inside a fragment — only fragments need
     // testing, against survivors and earlier-accepted fragments.
     for (const SharpCube& f : fresh) {
       bool absorbed = false;
-      if (use_index) {
-        absorbed = index.absorbs(f);
+      if (index) {
+        absorbed = index->absorbs(f);
       } else {
-        for (const SharpCube& s : next) {
+        for (const SharpCube& s : cubes) {
           if ((s.care & ~f.care) == 0 && ((s.value ^ f.value) & s.care) == 0) {
             absorbed = true;
             break;
@@ -243,11 +112,10 @@ std::vector<std::uint64_t> sharp_primes(std::uint32_t full,
         }
       }
       if (!absorbed) {
-        next.push_back(f);
-        if (use_index) index.insert(f);
+        cubes.push_back(f);
+        if (index) index->insert(f);
       }
     }
-    cubes.swap(next);
   }
 
   // Maximality filter: keep a cube only if no single freed literal

@@ -12,6 +12,7 @@
 
 #include "core/synthesize.hpp"
 #include "driver/batch.hpp"
+#include "logic/prime_engine.hpp"
 #include "logic/qm.hpp"
 #include "logic/qm_reference.hpp"
 #include "testutil.hpp"
@@ -86,6 +87,23 @@ std::vector<EquivCase> equivalence_cases() {
 
 INSTANTIATE_TEST_SUITE_P(RandomFunctions, QmEquivalence,
                          ::testing::ValuesIn(equivalence_cases()));
+
+// The corpus regime of the sharp path: a 15-variable chart with >95%
+// don't-cares, the arity at which the hardest shape's Y equations spend
+// their prime-generation time (antichains of ~10^5 cubes under the
+// persistent absorption index).  The reference generator needs several
+// seconds here, so this case lives in the property label, not next to
+// the 10-14-variable ones in test_prime_engine.
+TEST(QmEquivalenceSharpPath, FifteenVarHighDcPrimesMatchReference) {
+  const auto f = random_function(15, 0.02, 0.95, 102);
+  ASSERT_LE(f.off.size() * 8, std::size_t{1} << 15);
+  const std::vector<Cube> engine = prime_engine::compute_primes(15, f.on, f.dc);
+  const std::vector<Cube> reference = reference_compute_primes(15, f.on, f.dc);
+  ASSERT_EQ(engine.size(), reference.size());
+  for (std::size_t i = 0; i < engine.size(); ++i) {
+    ASSERT_EQ(engine[i].key(), reference[i].key()) << "at index " << i;
+  }
+}
 
 // The corpus the golden report pins: every Table-1 and extra-suite job
 // must keep synthesizing and verifying on the new engine.
