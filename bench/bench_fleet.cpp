@@ -1,13 +1,12 @@
 // Fleet-layer coordination overhead — the lease tax per slice.
 //
-// A lease backend sits on every slice's critical path (acquire before
-// the worker spawns, heartbeats while it runs, complete/abandon after),
-// so its cost bounds how fine --lease-units can usefully cut a corpus:
-// a DirBackend cycle is a handful of filesystem operations, and it must
-// stay orders of magnitude under a single synthesis job for 16-way unit
-// granularity to be free.  The ProcessBackend cycle is the in-memory
-// floor for comparison, and the steal path prices a dead-runner
-// recovery.
+// The lease sits on every slice's critical path, local `--shards` runs
+// included (acquire before the worker spawns, heartbeats while it runs,
+// complete/abandon after), so its cost bounds how fine --lease-units can
+// usefully cut a corpus: a DirBackend cycle is a handful of filesystem
+// operations, and it must stay orders of magnitude under a single
+// synthesis job for 16-way unit granularity to be free.  The steal path
+// prices a dead-runner recovery.
 
 #include <benchmark/benchmark.h>
 
@@ -18,15 +17,12 @@
 #include "driver/shard.hpp"
 #include "fleet/dir.hpp"
 #include "fleet/fleet.hpp"
-#include "fleet/process.hpp"
-#include "store/store.hpp"
 
 namespace {
 
 namespace fs = std::filesystem;
 using seance::driver::ShardPlan;
 using seance::fleet::DirBackend;
-using seance::fleet::ProcessBackend;
 using seance::fleet::Slice;
 
 std::vector<Slice> bench_slices(int units, const std::string& dir) {
@@ -41,23 +37,6 @@ std::string fresh_dir(const char* name) {
   fs::remove_all(dir);
   return dir;
 }
-
-/// In-memory lease table: the floor every shared backend is measured
-/// against.
-void BM_ProcessBackendCycle(benchmark::State& state) {
-  const std::string dir = fresh_dir("seance_bench_fleet_proc");
-  const std::vector<Slice> slices = bench_slices(16, dir);
-  for (auto _ : state) {
-    ProcessBackend lease;
-    for (const Slice& s : slices) {
-      benchmark::DoNotOptimize(lease.acquire(s));
-      benchmark::DoNotOptimize(lease.heartbeat(s));
-      benchmark::DoNotOptimize(lease.complete(s));
-    }
-  }
-  state.counters["slices"] = static_cast<double>(slices.size());
-}
-BENCHMARK(BM_ProcessBackendCycle);
 
 /// One full claim -> heartbeat -> complete cycle per slice through the
 /// shared directory: temp write + hard link, nonce read-back + mtime

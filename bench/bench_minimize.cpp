@@ -17,12 +17,12 @@
 #include <vector>
 
 #include "assign/ustt.hpp"
-#include "assign/ustt_reference.hpp"
 #include "bench_suite/generator.hpp"
 #include "driver/batch.hpp"
 #include "flowtable/table.hpp"
 #include "minimize/reduce.hpp"
-#include "minimize/reduce_reference.hpp"
+#include "oracles/reduce_reference.hpp"
+#include "oracles/ustt_reference.hpp"
 
 namespace {
 

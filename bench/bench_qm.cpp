@@ -19,7 +19,7 @@
 #include "core/synthesize.hpp"
 #include "driver/batch.hpp"
 #include "logic/qm.hpp"
-#include "logic/qm_reference.hpp"
+#include "oracles/qm_reference.hpp"
 
 namespace {
 

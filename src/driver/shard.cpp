@@ -6,22 +6,6 @@
 
 namespace seance::driver {
 
-int ShardPlan::job_count() const {
-  int n = 0;
-  for (const auto& slice : slices) n += static_cast<int>(slice.size());
-  return n;
-}
-
-int ShardPlan::shard_of(int job) const {
-  for (std::size_t s = 0; s < slices.size(); ++s) {
-    const auto& slice = slices[s];
-    if (std::binary_search(slice.begin(), slice.end(), job)) {
-      return static_cast<int>(s);
-    }
-  }
-  return -1;
-}
-
 ShardPlan ShardPlan::round_robin(int job_count, int num_shards) {
   if (num_shards < 1) {
     throw std::invalid_argument("ShardPlan: num_shards must be >= 1");

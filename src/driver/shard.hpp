@@ -25,14 +25,9 @@ namespace seance::driver {
 struct ShardPlan {
   int num_shards = 1;
   /// slices[s] holds the corpus indices of shard s, ascending (i.e. in
-  /// submission order).  Every index in [0, job_count) appears in
-  /// exactly one slice; slices may be empty when K exceeds the corpus.
+  /// submission order).  Every corpus index appears in exactly one
+  /// slice; slices may be empty when K exceeds the corpus.
   std::vector<std::vector<int>> slices;
-
-  /// Total jobs across all slices.
-  [[nodiscard]] int job_count() const;
-  /// The shard owning corpus index `job`; -1 when out of range.
-  [[nodiscard]] int shard_of(int job) const;
 
   /// Job i -> slice i % K.  Throws std::invalid_argument for
   /// num_shards < 1 or job_count < 0.

@@ -74,7 +74,7 @@ DirBackend::DirBackend(std::string dir, Options options)
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec) {
-    throw std::runtime_error("fleet dir " + dir_ + ": " + ec.message());
+    throw std::runtime_error("cannot create " + dir_ + ": " + ec.message());
   }
 }
 
@@ -94,6 +94,18 @@ void DirBackend::bind(const store::CorpusIdentity& identity, int units) {
         ": fleet-config mismatch — this runner's corpus recipe or "
         "--lease-units differs from the fleet's\n--- fleet\n" +
         theirs + "--- this runner\n" + mine);
+  }
+}
+
+void DirBackend::reset() {
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("fleet-config", 0) == 0 || name.rfind("lease-", 0) == 0 ||
+        name.rfind("done-", 0) == 0) {
+      std::error_code ignored;
+      fs::remove(entry.path(), ignored);
+    }
   }
 }
 

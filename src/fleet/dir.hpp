@@ -1,8 +1,10 @@
-// Directory backend: lease files in a shared directory.
+// Lease files in a directory: the one lease backend FleetRunner drives.
 //
-// The simplest transport that lets independent runner processes — on one
-// box or many, via any shared filesystem — coordinate a corpus run.  All
-// state is plain files under one directory, one name per artifact:
+// All fleet state is plain files under one directory, one name per
+// artifact, so independent runner processes — on one box or many, via
+// any shared filesystem — coordinate a corpus run through it.  A local
+// `--shards K` run uses the same files in its private `--shard-dir`,
+// where it is the only runner:
 //
 //   fleet-config          corpus identity + unit count, written once by
 //                         the first runner (atomic hard-link publish) and
@@ -26,7 +28,8 @@
 //                       attempt count carries over +1; once it reaches
 //                       max_attempts the slice is kDead — a
 //                       deterministically crashing job cannot re-lease
-//                       forever
+//                       forever, and with max_attempts 1 a failed slice
+//                       is never re-run
 //   * heartbeat       — verify the nonce is still ours, then bump mtime;
 //                       a lost nonce means the lease was stolen and the
 //                       caller must stop its worker
@@ -40,6 +43,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 
@@ -47,14 +51,32 @@
 
 namespace seance::fleet {
 
-class DirBackend final : public ShardLease {
+enum class LeaseState : std::uint8_t {
+  kFree,     ///< unclaimed
+  kHeld,     ///< leased and heartbeat-fresh
+  kExpired,  ///< leased but the holder stopped heartbeating — stealable
+  kDone,     ///< completed; the slice store is authoritative
+  kDead,     ///< gave up: no (further) attempts allowed
+};
+
+struct AcquireResult {
+  bool ok = false;
+  /// The lease was taken over from an expired holder (a steal or a
+  /// dead-runner re-lease) rather than claimed free.
+  bool stolen = false;
+  std::string detail;  ///< why not, or whom it was re-leased from
+};
+
+/// Who may run a slice right now.  One instance per runner process; all
+/// calls are made from the runner's driving thread.
+class DirBackend {
  public:
   struct Options {
     std::string runner_id = "runner-0";
     /// A lease not heartbeaten for this long is expired (stealable).
     double lease_ttl_ms = 10000;
     /// Total execution attempts a slice gets across the whole fleet
-    /// before it is declared dead.
+    /// before it is declared dead (1 for a local `--shards` run).
     int max_attempts = 3;
   };
 
@@ -68,11 +90,25 @@ class DirBackend final : public ShardLease {
   /// join, its workers would compute a different plan.
   void bind(const store::CorpusIdentity& identity, int units);
 
-  [[nodiscard]] AcquireResult acquire(const Slice& slice) override;
-  [[nodiscard]] bool heartbeat(const Slice& slice) override;
-  [[nodiscard]] bool complete(const Slice& slice) override;
-  void abandon(const Slice& slice, const std::string& why) override;
-  [[nodiscard]] LeaseState status(const Slice& slice) override;
+  /// Removes the directory's lease state (fleet-config, lease and done
+  /// files) and keeps the slice stores, so the next bind starts a fresh
+  /// fleet.  Only for a private directory: a shared fleet's other
+  /// runners would lose their leases.
+  void reset();
+
+  /// Try to take the slice: claims a free lease, or steals an expired
+  /// one.  Never blocks.
+  [[nodiscard]] AcquireResult acquire(const Slice& slice);
+  /// Refresh a held lease; false means the lease was lost (stolen after
+  /// expiry) and the caller must stop working on the slice.
+  [[nodiscard]] bool heartbeat(const Slice& slice);
+  /// Mark the slice done (its store file is complete).  False when the
+  /// done marker could not be written.
+  [[nodiscard]] bool complete(const Slice& slice);
+  /// Give the slice up after a failed run: it is immediately stealable,
+  /// or dead once its attempt budget is spent.
+  void abandon(const Slice& slice, const std::string& why);
+  [[nodiscard]] LeaseState status(const Slice& slice);
 
  private:
   struct LeaseFile {

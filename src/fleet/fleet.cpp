@@ -7,6 +7,8 @@
 #include <thread>
 #include <unordered_map>
 
+#include "fleet/dir.hpp"
+
 namespace seance::fleet {
 
 namespace {
@@ -58,7 +60,7 @@ bool FleetReport::all_resolved() const {
   return true;
 }
 
-FleetRunner::FleetRunner(ShardLease& lease, SliceExecutor& executor,
+FleetRunner::FleetRunner(DirBackend& lease, SliceExecutor& executor,
                          FleetOptions options)
     : lease_(lease), executor_(executor), options_(std::move(options)) {}
 
@@ -141,9 +143,9 @@ FleetReport FleetRunner::run(const std::vector<Slice>& slices) {
                          : "incomplete slice store";
       }
       unit.exit_detail = detail;
-      // Back to the pool: the backend decides whether another attempt is
-      // allowed (DirBackend re-lease) or the slice is dead (ProcessBackend
-      // keeps PR 5's no-retry crash isolation).
+      // Back to the pool: the lease's attempt budget decides whether
+      // another attempt is allowed or the slice is dead (a local run's
+      // budget of 1 reports a crashed slice instead of re-running it).
       lease_.abandon(slice, detail);
     }
 

@@ -32,8 +32,8 @@
 //
 // Determinism contract: identical prime sets and identical canonical
 // order (fewest literals first, then Cube::key) as the retained
-// reference generator (qm_reference.hpp), checked by
-// tests/test_prime_engine.cpp.
+// reference generator (test-only, tests/oracles/qm_reference.hpp),
+// checked by tests/test_prime_engine.cpp.
 
 #pragma once
 

@@ -1,4 +1,4 @@
-#include "logic/qm_reference.hpp"
+#include "oracles/qm_reference.hpp"
 
 #include <algorithm>
 #include <cstdint>

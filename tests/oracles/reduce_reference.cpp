@@ -1,4 +1,4 @@
-#include "minimize/reduce_reference.hpp"
+#include "oracles/reduce_reference.hpp"
 
 #include <algorithm>
 #include <bit>

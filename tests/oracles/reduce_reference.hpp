@@ -1,6 +1,6 @@
 // Seed implementation of state minimization, retained as the differential
 // oracle for the packed-word engine in reduce.hpp (the same role
-// logic/qm_reference.hpp plays for the covering engine).
+// oracles/qm_reference.hpp plays for the covering engine).
 //
 // The algorithms are the original O(n²·columns)-per-sweep pair-chart
 // fixpoint, the level-by-level subset generation of prime compatibles,

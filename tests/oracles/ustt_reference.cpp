@@ -1,4 +1,4 @@
-#include "assign/ustt_reference.hpp"
+#include "oracles/ustt_reference.hpp"
 
 #include <algorithm>
 #include <bit>

@@ -1,6 +1,6 @@
 // Seed implementation of the USTT assignment, retained as the
 // differential oracle for the production path in ustt.hpp (the same role
-// minimize/reduce_reference.hpp plays for state minimization).
+// oracles/reduce_reference.hpp plays for state minimization).
 //
 // The algorithms are the original all-pairs O(D^2) dominance sweep and
 // the one-collision-per-round uniqueness completion that rebuilds the

@@ -5,10 +5,10 @@
 #include <bit>
 #include <set>
 
-#include "assign/ustt_reference.hpp"
 #include "bench_suite/benchmarks.hpp"
 #include "bench_suite/generator.hpp"
 #include "flowtable/table.hpp"
+#include "oracles/ustt_reference.hpp"
 
 namespace seance::assign {
 namespace {

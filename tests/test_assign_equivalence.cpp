@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "assign/ustt.hpp"
-#include "assign/ustt_reference.hpp"
 #include "bench_suite/generator.hpp"
+#include "oracles/ustt_reference.hpp"
 
 namespace seance::assign {
 namespace {

@@ -1,7 +1,7 @@
 // Fleet-layer unit tests: steal-safe slice naming, the slice-store
-// completion authority (slice_file_complete), both lease backends, and
-// FleetRunner driven by stub lease/executor implementations that write
-// real store files.  The end-to-end CLI fleet paths (re-exec workers,
+// completion authority (slice_file_complete), the DirBackend lease
+// protocol, and FleetRunner driven by a stub executor that writes real
+// store files.  The end-to-end CLI fleet paths (re-exec workers,
 // killed runners, byte-identical merges) live in test_shard_driver.cpp;
 // everything here runs in-process and fast.
 
@@ -16,7 +16,6 @@
 #include "driver/shard.hpp"
 #include "fleet/dir.hpp"
 #include "fleet/fleet.hpp"
-#include "fleet/process.hpp"
 #include "store/store.hpp"
 
 namespace seance::fleet {
@@ -177,40 +176,6 @@ TEST_F(SliceFileComplete, ForeignIdentityIsIncomplete) {
                                    s.job_names));
 }
 
-// ----------------------------------------------------- ProcessBackend
-
-using ProcessBackendTest = FleetTest;
-
-TEST_F(ProcessBackendTest, LeaseLifecycle) {
-  const auto slices = make_corpus(4, 2);
-  ProcessBackend lease;
-  EXPECT_EQ(lease.status(slices[0]), LeaseState::kFree);
-
-  const AcquireResult first = lease.acquire(slices[0]);
-  EXPECT_TRUE(first.ok);
-  EXPECT_FALSE(first.stolen);
-  EXPECT_EQ(lease.status(slices[0]), LeaseState::kHeld);
-  EXPECT_FALSE(lease.acquire(slices[0]).ok);  // held: no double-issue
-  EXPECT_TRUE(lease.heartbeat(slices[0]));
-
-  EXPECT_TRUE(lease.complete(slices[0]));
-  EXPECT_EQ(lease.status(slices[0]), LeaseState::kDone);
-  EXPECT_EQ(lease.acquire(slices[0]).detail, "already complete");
-}
-
-TEST_F(ProcessBackendTest, AbandonMeansNoLocalRetry) {
-  // The PR 5 contract: a crashed worker's jobs are reported as crashed,
-  // never silently re-run in the same orchestration.
-  const auto slices = make_corpus(4, 2);
-  ProcessBackend lease;
-  ASSERT_TRUE(lease.acquire(slices[1]).ok);
-  lease.abandon(slices[1], "killed by signal 9");
-  EXPECT_EQ(lease.status(slices[1]), LeaseState::kDead);
-  const AcquireResult again = lease.acquire(slices[1]);
-  EXPECT_FALSE(again.ok);
-  EXPECT_FALSE(lease.heartbeat(slices[1]));
-}
-
 // --------------------------------------------------------- DirBackend
 
 using DirBackendTest = FleetTest;
@@ -221,7 +186,10 @@ TEST_F(DirBackendTest, ClaimIsExclusiveAcrossRunners) {
   DirBackend b(dir_, {.runner_id = "b", .lease_ttl_ms = 60000});
 
   EXPECT_EQ(a.status(slices[0]), LeaseState::kFree);
-  EXPECT_TRUE(a.acquire(slices[0]).ok);
+  const AcquireResult first = a.acquire(slices[0]);
+  EXPECT_TRUE(first.ok);
+  EXPECT_FALSE(first.stolen);
+  EXPECT_FALSE(a.acquire(slices[0]).ok);  // held: no double-issue
   const AcquireResult blocked = b.acquire(slices[0]);
   EXPECT_FALSE(blocked.ok);
   EXPECT_EQ(blocked.detail, "held by a");
@@ -279,20 +247,46 @@ TEST_F(DirBackendTest, AbandonReleasesImmediately) {
 }
 
 TEST_F(DirBackendTest, AttemptBudgetRetiresASlice) {
+  // 3 is the fleet default; 1 is a local --shards run, where a crashed
+  // worker's jobs are reported as crashed, never re-run in the same
+  // orchestration.
+  for (const int budget : {3, 1}) {
+    fs::remove_all(dir_);
+    const auto slices = make_corpus(4, 2);
+    DirBackend r(dir_, {.runner_id = "r", .lease_ttl_ms = 60000,
+                        .max_attempts = budget});
+    ASSERT_TRUE(r.acquire(slices[0]).ok) << budget;  // attempt 1
+    r.abandon(slices[0], "boom");
+    for (int attempt = 2; attempt <= budget; ++attempt) {
+      EXPECT_TRUE(r.acquire(slices[0]).stolen) << budget;
+      r.abandon(slices[0], "boom");
+    }
+    EXPECT_EQ(r.status(slices[0]), LeaseState::kDead) << budget;
+    const AcquireResult spent = r.acquire(slices[0]);
+    EXPECT_FALSE(spent.ok) << budget;
+    EXPECT_EQ(spent.detail, "attempts exhausted") << budget;
+    EXPECT_FALSE(r.heartbeat(slices[0])) << budget;
+  }
+}
+
+TEST_F(DirBackendTest, ResetDropsLeaseStateAndKeepsSliceStores) {
   const auto slices = make_corpus(4, 2);
-  DirBackend::Options opts{.runner_id = "r", .lease_ttl_ms = 60000,
-                           .max_attempts = 3};
-  DirBackend r(dir_, opts);
-  ASSERT_TRUE(r.acquire(slices[0]).ok);          // attempt 1
-  r.abandon(slices[0], "boom");
-  EXPECT_TRUE(r.acquire(slices[0]).stolen);      // attempt 2
-  r.abandon(slices[0], "boom");
-  EXPECT_TRUE(r.acquire(slices[0]).stolen);      // attempt 3
-  r.abandon(slices[0], "boom");
-  EXPECT_EQ(r.status(slices[0]), LeaseState::kDead);
-  const AcquireResult spent = r.acquire(slices[0]);
-  EXPECT_FALSE(spent.ok);
-  EXPECT_EQ(spent.detail, "attempts exhausted");
+  DirBackend lease(dir_, {.runner_id = "r", .max_attempts = 1});
+  lease.bind(test_identity(), 2);
+  ASSERT_TRUE(lease.acquire(slices[0]).ok);
+  lease.abandon(slices[0], "boom");  // dead under a budget of 1
+  ASSERT_TRUE(lease.acquire(slices[1]).ok);
+  store::save(slices[1].store_path,
+              report_for(test_identity(), slices[1].tag, slices[1].job_names));
+  ASSERT_TRUE(lease.complete(slices[1]));
+  ASSERT_EQ(lease.status(slices[0]), LeaseState::kDead);
+
+  lease.reset();
+  EXPECT_EQ(lease.status(slices[0]), LeaseState::kFree);
+  EXPECT_EQ(lease.status(slices[1]), LeaseState::kFree);
+  EXPECT_TRUE(fs::exists(slices[1].store_path));
+  // A fresh fleet-config: a different unit count binds again.
+  EXPECT_NO_THROW(lease.bind(test_identity(), 3));
 }
 
 TEST_F(DirBackendTest, BindRejectsAMismatchedFleet) {
@@ -353,11 +347,16 @@ FleetOptions runner_options(const std::string& id) {
   return o;
 }
 
+/// The lease a local `--shards` run uses: one runner, one attempt.
+DirBackend::Options local_lease(const std::string& id) {
+  return {.runner_id = id, .lease_ttl_ms = 60000, .max_attempts = 1};
+}
+
 using FleetRunnerTest = FleetTest;
 
 TEST_F(FleetRunnerTest, SingleRunnerResolvesEverythingAndMergesByteIdentically) {
   const auto slices = make_corpus(7, 3);
-  ProcessBackend lease;
+  DirBackend lease(dir_, local_lease("solo"));
   StubExecutor exec(test_identity());
   FleetRunner runner(lease, exec, runner_options("solo"));
   const FleetReport fleet = runner.run(slices);
@@ -379,7 +378,7 @@ TEST_F(FleetRunnerTest, ReuseCompleteSkipsFinishedSlices) {
   // Slice 1's file is already complete from a previous run.
   store::save(slices[1].store_path,
               report_for(test_identity(), slices[1].tag, slices[1].job_names));
-  ProcessBackend lease;
+  DirBackend lease(dir_, local_lease("resume"));
   StubExecutor exec(test_identity());
   FleetOptions opts = runner_options("resume");
   opts.reuse_complete = true;
@@ -397,7 +396,7 @@ TEST_F(FleetRunnerTest, ReuseCompleteSkipsFinishedSlices) {
 
 TEST_F(FleetRunnerTest, FailedSlicesDieAndMergeAsCrashedRows) {
   const auto slices = make_corpus(4, 2);
-  ProcessBackend lease;  // abandon -> kDead: no local retry
+  DirBackend lease(dir_, local_lease("doomed"));  // abandon -> kDead
   StubExecutor exec(test_identity(), /*succeed=*/false);
   const FleetReport fleet =
       FleetRunner(lease, exec, runner_options("doomed")).run(slices);

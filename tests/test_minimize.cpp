@@ -8,7 +8,7 @@
 #include "bench_suite/benchmarks.hpp"
 #include "bench_suite/generator.hpp"
 #include "flowtable/table.hpp"
-#include "minimize/reduce_reference.hpp"
+#include "oracles/reduce_reference.hpp"
 
 namespace seance::minimize {
 namespace {

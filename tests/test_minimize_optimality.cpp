@@ -11,7 +11,7 @@
 
 #include "bench_suite/generator.hpp"
 #include "minimize/reduce.hpp"
-#include "minimize/reduce_reference.hpp"
+#include "oracles/reduce_reference.hpp"
 
 namespace seance::minimize {
 namespace {

@@ -18,7 +18,7 @@
 
 #include "logic/absorb_index.hpp"
 #include "logic/qm.hpp"
-#include "logic/qm_reference.hpp"
+#include "oracles/qm_reference.hpp"
 #include "testutil.hpp"
 
 namespace seance::logic {

@@ -14,7 +14,7 @@
 #include "driver/batch.hpp"
 #include "logic/prime_engine.hpp"
 #include "logic/qm.hpp"
-#include "logic/qm_reference.hpp"
+#include "oracles/qm_reference.hpp"
 #include "testutil.hpp"
 
 namespace seance::logic {

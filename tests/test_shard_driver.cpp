@@ -2,7 +2,8 @@
 // shard-then-merge byte identity against the single-process run for many
 // shard counts, and — through the real seance_cli orchestrator/worker
 // re-exec — crash isolation (a killed worker loses only its own
-// unflushed jobs) and --resume healing.
+// unflushed jobs), --resume healing, and shard-dir reuse across
+// --shards counts.
 
 #include "driver/shard.hpp"
 
@@ -37,15 +38,11 @@ TEST(ShardPlan, RoundRobinPartitionsEveryJobExactlyOnce) {
   EXPECT_EQ(plan.slices[1], (std::vector<int>{1, 5, 9}));
   EXPECT_EQ(plan.slices[2], (std::vector<int>{2, 6}));
   EXPECT_EQ(plan.slices[3], (std::vector<int>{3, 7}));
-  EXPECT_EQ(plan.job_count(), 10);
-  for (int j = 0; j < 10; ++j) EXPECT_EQ(plan.shard_of(j), j % 4);
-  EXPECT_EQ(plan.shard_of(10), -1);
-  EXPECT_EQ(plan.shard_of(-1), -1);
 }
 
 TEST(ShardPlan, MoreShardsThanJobsLeavesEmptySlices) {
   const ShardPlan plan = ShardPlan::round_robin(2, 5);
-  EXPECT_EQ(plan.job_count(), 2);
+  ASSERT_EQ(plan.slices.size(), 5u);
   EXPECT_EQ(plan.slices[0], (std::vector<int>{0}));
   EXPECT_EQ(plan.slices[1], (std::vector<int>{1}));
   for (int s = 2; s < 5; ++s) {
@@ -248,6 +245,20 @@ TEST_F(ShardCliTest, CrashedWorkerLosesOnlyItsUnflushedJobsAndResumeHeals) {
   for (const auto& [name, status] : healed) EXPECT_EQ(status, "ok") << name;
 }
 
+TEST_F(ShardCliTest, CrashedUnitIsNotRetriedWithinALocalRun) {
+  // A local run gives each lease unit one attempt: the crashed unit's
+  // lease records a single attempt instead of a retry loop re-running
+  // the rogue job.
+  const auto shard_dir = work_ / "shards";
+  ASSERT_EQ(run_command(cli_ +
+                        " batch --no-suite --random 6 --jobs 1 --quiet "
+                        "--shards 2 --shard-worker-die-after 1 --shard-dir " +
+                        quoted(shard_dir) + " > /dev/null 2>&1"),
+            1);
+  const std::string lease = read_file(shard_dir / "lease-0-of-2");
+  EXPECT_NE(lease.find("\nattempts 1\n"), std::string::npos) << lease;
+}
+
 TEST_F(ShardCliTest, ShardedBatchCsvMatchesUnshardedAcrossThreadCounts) {
   const auto a = work_ / "a.csv";
   const auto b = work_ / "b.csv";
@@ -262,10 +273,31 @@ TEST_F(ShardCliTest, ShardedBatchCsvMatchesUnshardedAcrossThreadCounts) {
   EXPECT_EQ(read_file(a), read_file(b));
 }
 
+TEST_F(ShardCliTest, ShardDirIsReusableAcrossShardCounts) {
+  // A local run is a one-runner lease fleet in its shard dir.  The next
+  // run over the same dir with another --shards must start a fresh fleet
+  // rather than be refused by (or inherit the leases of) the old one.
+  const auto unsharded = work_ / "unsharded.csv";
+  const auto shard_dir = work_ / "shards";
+  const std::string corpus = " batch --no-suite --random 8 --jobs 2 --quiet ";
+  ASSERT_EQ(run_command(cli_ + corpus + "--csv " + quoted(unsharded) +
+                        " > /dev/null 2>&1"),
+            0);
+  for (const int k : {3, 2}) {
+    const auto csv = work_ / ("k" + std::to_string(k) + ".csv");
+    ASSERT_EQ(run_command(cli_ + corpus + "--shards " + std::to_string(k) +
+                          " --shard-dir " + quoted(shard_dir) + " --csv " +
+                          quoted(csv) + " > /dev/null 2>&1"),
+              0)
+        << "K=" << k;
+    EXPECT_EQ(read_file(csv), read_file(unsharded)) << "K=" << k;
+  }
+}
+
 // ---- Fleet-mode tests: the leased orchestration through the CLI. ----
 
 TEST_F(ShardCliTest, LocalLeaseUnitsKeepByteIdentityAcrossShardCounts) {
-  // ProcessBackend with more lease units than worker processes: workers
+  // A local run with more lease units than worker processes: workers
   // drain units dynamically instead of owning one fixed slice each.  The
   // merged CSV must not depend on the worker count or the drain order.
   const auto unsharded = work_ / "unsharded.csv";

@@ -29,23 +29,27 @@
 //
 // Sharded runs (batch and baseline, `--shards K`): the corpus is cut
 // into lease units (driver::ShardPlan round-robin; `--lease-units`) and
-// driven through fleet::FleetRunner — this file contains no process
-// orchestration of its own.  Each acquired unit re-execs this binary as
-// a worker (`--shard-worker u/U`, hidden) that rebuilds the corpus from
-// the forwarded recipe flags, runs only its slice, and streams rows into
-// a per-unit store file, flushing after every job.  The runner loads
-// each unit file (tolerating the torn tail a crashed worker leaves) and
-// store::merge stitches the rows back into submission order —
-// byte-identical to the single-process report.  A worker that dies loses
-// only the unflushed jobs of its own slice (recorded as `crashed` with
-// the exit detail), and `--resume` re-runs only units whose store file
-// is missing or partial.
+// driven through fleet::FleetRunner as a one-runner fleet whose lease
+// files live next to the unit stores in `--shard-dir` — this file
+// contains no process orchestration of its own.  Each acquired unit
+// re-execs this binary as a worker (`--shard-worker u/U`, hidden) that
+// rebuilds the corpus from the forwarded recipe flags, runs only its
+// slice, and streams rows into a per-unit store file, flushing after
+// every job.  The runner loads each unit file (tolerating the torn tail
+// a crashed worker leaves) and store::merge stitches the rows back into
+// submission order — byte-identical to the single-process report.  A
+// worker that dies loses only the unflushed jobs of its own slice
+// (recorded as `crashed` with the exit detail; a local run never
+// retries a unit), and `--resume` re-runs only units whose store file
+// is missing or partial.  Each local run starts from fresh lease state,
+// so `--shards` and `--lease-units` may change between runs over one
+// shard dir.
 //
-// Fleet mode (`--fleet-dir DIR`): the same run coordinated across any
-// number of independent runner processes — one box or many, via a shared
-// directory of lease files (fleet::DirBackend).  Runners self-balance by
-// work stealing, heal dead runners by re-leasing their expired units,
-// and every waiting runner merges the identical report once the fleet
+// Fleet mode (`--fleet-dir DIR`): the same lease files, shared by any
+// number of independent runner processes — one box or many, via a
+// shared directory (fleet::DirBackend).  Runners self-balance by work
+// stealing, heal dead runners by re-leasing their expired units, and
+// every waiting runner merges the identical report once the fleet
 // resolves.  See README "Fleet mode".
 //
 // Diff exit code: 0 clean, 1 drift or identity mismatch, 2 usage/IO error.
@@ -55,17 +59,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
-
-#include <cstdlib>
-#include <memory>
 #include <vector>
 
 #include "api/api.hpp"
@@ -408,11 +410,11 @@ int run_shard_worker(const CorpusFlags& flags) {
   return out ? 0 : 2;
 }
 
-/// Orchestrator half, now one fleet::FleetRunner invocation: cut the
-/// corpus into lease units, acquire and execute them through the lease
-/// backend (local in-memory table, or a shared lease directory in fleet
-/// mode — the CLI owns no process machinery of its own), and merge the
-/// unit stores back into one report in submission order.  Fills `merged`
+/// Orchestrator half, one fleet::FleetRunner invocation: cut the corpus
+/// into lease units, acquire and execute them through a fleet::DirBackend
+/// (the private --shard-dir for a local run, the shared --fleet-dir in
+/// fleet mode — the CLI owns no process machinery of its own), and merge
+/// the unit stores back into one report in submission order.  Fills `merged`
 /// and sets `report_ready` when the fleet resolved and a merged report
 /// exists (a bounded --fleet-max-units helper exits clean without one);
 /// returns 0, or nonzero after printing why.
@@ -458,14 +460,6 @@ int run_leased(const char* argv0, const char* subcommand,
       static_cast<int>(corpus.size()), units);
   const auto identity = seance::api::corpus_identity(corpus_request(flags));
   const std::string dir = fleet_mode ? flags.fleet_dir : flags.shard_dir;
-
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    std::printf("cannot create shard dir %s: %s\n", dir.c_str(),
-                ec.message().c_str());
-    return 1;
-  }
   const auto slices = seance::fleet::make_slices(plan, names, costs, dir);
 
   int total_threads = flags.options.threads;
@@ -478,21 +472,20 @@ int run_leased(const char* argv0, const char* subcommand,
                                     ? seance::fleet::default_runner_id()
                                     : flags.runner_id;
 
-  // Lease coordination varies by backend; execution is always one worker
-  // subprocess per unit, so a rogue job keeps losing only its own slice.
-  std::unique_ptr<seance::fleet::ShardLease> lease;
+  // A local run is a one-runner fleet in its private shard dir: earlier
+  // runs' lease state is dropped (the slice stores stay for --resume),
+  // and one attempt per unit keeps a crashed slice reported, not re-run.
+  // Execution is always one worker subprocess per unit, so a rogue job
+  // loses only its own slice.
+  seance::fleet::DirBackend::Options lease_options;
+  lease_options.runner_id = runner_id;
+  lease_options.lease_ttl_ms = flags.lease_ttl_ms;
+  if (!fleet_mode) lease_options.max_attempts = 1;
+  std::optional<seance::fleet::DirBackend> lease;
   try {
-    if (fleet_mode) {
-      seance::fleet::DirBackend::Options dir_options;
-      dir_options.runner_id = runner_id;
-      dir_options.lease_ttl_ms = flags.lease_ttl_ms;
-      auto backend =
-          std::make_unique<seance::fleet::DirBackend>(dir, dir_options);
-      backend->bind(identity, units);
-      lease = std::move(backend);
-    } else {
-      lease = std::make_unique<seance::fleet::ProcessBackend>();
-    }
+    lease.emplace(dir, lease_options);
+    if (!fleet_mode) lease->reset();
+    lease->bind(identity, units);
   } catch (const std::exception& e) {
     std::printf("error: %s\n", e.what());
     return 1;
