@@ -18,6 +18,7 @@
 #include "bench_suite/generator.hpp"
 #include "core/synthesize.hpp"
 #include "driver/batch.hpp"
+#include "logic/prime_engine.hpp"
 #include "logic/qm.hpp"
 #include "oracles/qm_reference.hpp"
 
@@ -49,8 +50,9 @@ void print_table() {
   std::printf("-------+----------+------------+-----------\n");
   for (int vars = 4; vars <= 12; ++vars) {
     const Func f = random_function(vars, 0.3, 0.2, 97);
-    const auto primes = seance::logic::compute_primes(vars, f.on, f.dc);
-    const auto essential = seance::logic::minimize_sop(vars, f.on, f.dc);
+    const auto primes = seance::logic::prime_engine::compute_primes(vars, f.on, f.dc);
+    const auto essential = seance::logic::select_cover(
+        vars, f.on, f.dc, seance::logic::CoverMode::kEssentialSop);
     const auto all = seance::logic::all_primes_cover(vars, f.on, f.dc);
     std::printf("%6d | %8zu | %10zu | %10zu\n", vars, primes.size(),
                 essential.size(), all.size());
@@ -91,7 +93,8 @@ void BM_ComputePrimes(benchmark::State& state) {
   const int vars = static_cast<int>(state.range(0));
   const Func f = random_function(vars, 0.3, 0.2, 97);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(seance::logic::compute_primes(vars, f.on, f.dc));
+    benchmark::DoNotOptimize(
+        seance::logic::prime_engine::compute_primes(vars, f.on, f.dc));
   }
 }
 BENCHMARK(BM_ComputePrimes)->DenseRange(4, 12)->Unit(benchmark::kMicrosecond);
@@ -100,7 +103,8 @@ void BM_EssentialSop(benchmark::State& state) {
   const int vars = static_cast<int>(state.range(0));
   const Func f = random_function(vars, 0.3, 0.2, 97);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(seance::logic::minimize_sop(vars, f.on, f.dc));
+    benchmark::DoNotOptimize(seance::logic::select_cover(
+        vars, f.on, f.dc, seance::logic::CoverMode::kEssentialSop));
   }
 }
 BENCHMARK(BM_EssentialSop)->DenseRange(4, 11)->Unit(benchmark::kMicrosecond);

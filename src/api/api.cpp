@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -32,37 +33,20 @@ bool cacheable_status(driver::JobStatus status) {
 
 }  // namespace
 
-std::uint64_t fnv64(std::string_view bytes) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 std::string fnv64_hex(std::string_view bytes) {
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(fnv64(bytes)));
+                static_cast<unsigned long long>(
+                    search::fnv64(bytes.data(), bytes.size())));
   return hex;
 }
 
 std::string fnv64_file_hex(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return "unreadable";
-  std::uint64_t hash = 1469598103934665603ull;
-  char buffer[4096];
-  while (in.read(buffer, sizeof(buffer)) || in.gcount() > 0) {
-    for (std::streamsize i = 0; i < in.gcount(); ++i) {
-      hash ^= static_cast<unsigned char>(buffer[i]);
-      hash *= 1099511628211ull;
-    }
-  }
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return hex;
+  std::ostringstream contents;
+  contents << in.rdbuf();
+  return fnv64_hex(contents.str());
 }
 
 const char* to_string(CacheDisposition disposition) {
@@ -75,23 +59,12 @@ const char* to_string(CacheDisposition disposition) {
   return "unknown";
 }
 
-driver::BatchOptions checks_of(const SynthesisRequest& request) {
-  driver::BatchOptions checks;
-  checks.verify = request.verify;
-  checks.ternary = request.ternary;
-  checks.ternary_strict = request.ternary_strict;
-  checks.gate_ternary = request.gate_ternary;
-  checks.job_timeout_ms = request.timeout_ms;
-  checks.synthesis = request.options;
-  return checks;
-}
-
 std::string cache_key(const SynthesisRequest& request) {
   const std::string table_hash =
       request.table ? fnv64_hex(flowtable::to_kiss2(*request.table))
                     : fnv64_hex(request.table_text);
   return table_hash + "|" + core::options_to_string(request.options) + "|" +
-         store::describe(checks_of(request));
+         store::describe(request);
 }
 
 SynthesisResponse synthesize(const SynthesisRequest& request,
@@ -126,7 +99,6 @@ SynthesisResponse synthesize(const SynthesisRequest& request,
   driver::JobSpec spec;
   spec.name = request.name;
   spec.options = request.options;
-  const driver::BatchOptions checks = checks_of(request);
   bool parsed = true;
   if (request.table) {
     spec.table = *request.table;
@@ -145,20 +117,11 @@ SynthesisResponse synthesize(const SynthesisRequest& request,
   }
   if (parsed) {
     core::FantomMachine machine;
-    if (request.timeout_ms > 0) {
-      // The watchdog body owns copies: an abandoned worker may outlive
-      // this call's stack frame.
-      response.row = driver::run_with_deadline(
-          request.name, request.timeout_ms,
-          [spec, checks] { return driver::BatchRunner::run_job(spec, checks); });
-      if (response.row.status == driver::JobStatus::kTimeout) {
-        response.row.num_inputs = spec.table.num_inputs();
-        response.row.num_outputs = spec.table.num_outputs();
-        response.row.input_states = spec.table.num_states();
-      }
+    if (request.job_timeout_ms > 0) {
+      response.row = driver::BatchRunner::run_job_with_deadline(spec, request);
     } else {
       response.row = driver::BatchRunner::run_job(
-          spec, checks, request.want_machine ? &machine : nullptr, tt);
+          spec, request, request.want_machine ? &machine : nullptr, tt);
     }
     // run_job hands the machine out as soon as synthesis returns, so it
     // is here even when a check failed or threw; a machine that was

@@ -39,10 +39,9 @@ namespace seance::api {
 
 class ResultCache;  // cache.hpp
 
-/// FNV-1a 64 over arbitrary bytes — the repo's content-fingerprint
-/// primitive (corpus `kiss:<path>@<fnv64>` identities use the same hash).
-[[nodiscard]] std::uint64_t fnv64(std::string_view bytes);
-/// fnv64 spelled as 16 lowercase hex digits.
+/// search::fnv64 (FNV-1a 64) of the bytes as 16 lowercase hex digits —
+/// the repo's content fingerprint (cache keys, corpus
+/// `kiss:<path>@<fnv64>` identities).
 [[nodiscard]] std::string fnv64_hex(std::string_view bytes);
 /// fnv64_hex of a file's contents; "unreadable" when it cannot be opened.
 [[nodiscard]] std::string fnv64_file_hex(const std::string& path);
@@ -58,22 +57,14 @@ enum class CacheDisposition : std::uint8_t {
 [[nodiscard]] const char* to_string(CacheDisposition disposition);
 
 /// One synthesis job, fully self-describing: the table (as KISS2 bytes or
-/// pre-parsed), the synthesis options, and the check set that decides
-/// which verification columns of the row are meaningful.
-struct SynthesisRequest {
+/// pre-parsed), the synthesis options, and the check set (the
+/// driver::Checks base) that decides which verification columns of the
+/// row are meaningful.
+struct SynthesisRequest : driver::Checks {
   std::string name;        ///< row label; not part of the cache key
   std::string table_text;  ///< KISS2 bytes; used iff `table` is empty
   std::optional<flowtable::FlowTable> table;  ///< pre-parsed alternative
   core::SynthesisOptions options;
-
-  // Check set (the result-affecting half of driver::BatchOptions).
-  bool verify = true;
-  bool ternary = true;
-  bool ternary_strict = false;
-  /// Gate-level ternary over the Verilog round trip (BatchOptions::
-  /// gate_ternary); fills the gate_ternary_a/b columns of the row.
-  bool gate_ternary = false;
-  double timeout_ms = 0;  ///< per-job watchdog; 0 = none
 
   /// Keep the synthesized FantomMachine in the response (report text,
   /// Verilog export, harness simulation need it).  Machine requests
@@ -87,12 +78,8 @@ struct SynthesisResponse {
   std::optional<core::FantomMachine> machine;  ///< want_machine, cold path
 };
 
-/// Check-set half of a BatchOptions in the canonical identity spelling
-/// (store::describe order: verify/ternary/gate/strict/timeout-ms).
-[[nodiscard]] driver::BatchOptions checks_of(const SynthesisRequest& request);
-
 /// The content address of a request:
-///   "<table-fnv64-hex>|<options_to_string>|<describe(checks)>"
+///   "<table-fnv64-hex>|<options_to_string>|<store::describe(checks)>"
 /// Two requests with equal keys produce byte-identical rows; the name is
 /// deliberately absent (the same controller under two names is one
 /// result).  The table half fingerprints the KISS2 *bytes* — table_text

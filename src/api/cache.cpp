@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "search/search.hpp"
 #include "store/store.hpp"
 
 namespace seance::api {
@@ -78,7 +79,8 @@ void ResultCache::warm_seal() {
   warm_mask_ = capacity - 1;
   std::size_t live = 0;
   for (std::size_t i = 0; i < warm_rows_.size(); ++i) {
-    const std::uint64_t hash = fnv64(warm_rows_[i].first);
+    const std::string& key = warm_rows_[i].first;
+    const std::uint64_t hash = search::fnv64(key.data(), key.size());
     std::size_t slot = static_cast<std::size_t>(hash & warm_mask_);
     for (;;) {
       WarmSlot& s = warm_slots_[slot];
@@ -102,7 +104,7 @@ void ResultCache::warm_seal() {
 
 const driver::JobResult* ResultCache::warm_find(const std::string& key) const {
   if (warm_slots_.empty()) return nullptr;
-  const std::uint64_t hash = fnv64(key);
+  const std::uint64_t hash = search::fnv64(key.data(), key.size());
   std::size_t slot = static_cast<std::size_t>(hash & warm_mask_);
   for (;;) {
     const WarmSlot& s = warm_slots_[slot];

@@ -45,13 +45,9 @@ void handle_request(std::istream& in, std::ostream& out,
                     ResultCache* cache, search::TranspositionTable* tt,
                     ServeStats& stats) {
   SynthesisRequest request;
+  static_cast<driver::Checks&>(request) = config;
   request.name = name;
   request.options = config.options;
-  request.verify = config.verify;
-  request.ternary = config.ternary;
-  request.ternary_strict = config.ternary_strict;
-  request.gate_ternary = config.gate_ternary;
-  request.timeout_ms = config.timeout_ms;
 
   std::string line;
   if (!std::getline(in, line)) {

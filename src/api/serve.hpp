@@ -29,22 +29,18 @@
 #include <string>
 
 #include "core/synthesize.hpp"
+#include "driver/batch.hpp"
 
 namespace seance::api {
 
 class ResultCache;
 
-struct ServeConfig {
+/// The driver::Checks base is the check set applied to every request (the
+/// protocol deliberately does not let clients vary checks per request:
+/// one server, one contract).
+struct ServeConfig : driver::Checks {
   /// Synthesis options for requests that carry no OPT line.
   core::SynthesisOptions options;
-  // Check set applied to every request (the protocol deliberately does
-  // not let clients vary checks per request: one server, one contract).
-  bool verify = true;
-  bool ternary = true;
-  bool ternary_strict = false;
-  /// Gate-level ternary over the Verilog round trip for every request.
-  bool gate_ternary = false;
-  double timeout_ms = 0;  ///< per-job watchdog; 0 = none
 };
 
 struct ServeStats {

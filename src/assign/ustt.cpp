@@ -111,11 +111,6 @@ std::vector<std::uint32_t> codes_from_partitions(int num_states,
 
 }  // namespace detail
 
-bool separates(const Partition& p, const Dichotomy& d) {
-  return ((d.a & ~p.zeros) == 0 && (d.b & ~p.ones) == 0) ||
-         ((d.a & ~p.ones) == 0 && (d.b & ~p.zeros) == 0);
-}
-
 std::vector<Dichotomy> transition_dichotomies(const FlowTable& table) {
   const std::vector<Dichotomy> dichotomies = detail::raw_dichotomies(table);
 

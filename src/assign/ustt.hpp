@@ -51,7 +51,6 @@ struct Dichotomy {
   StateSet a = 0;
   StateSet b = 0;
 
-  [[nodiscard]] bool valid() const { return a != 0 && b != 0 && (a & b) == 0; }
   friend bool operator==(const Dichotomy&, const Dichotomy&) = default;
 };
 
@@ -67,10 +66,6 @@ struct Partition {
   StateSet zeros = 0;
   StateSet ones = 0;
 };
-
-/// True iff the partition separates the dichotomy (a on one side, b on the
-/// other).
-[[nodiscard]] bool separates(const Partition& p, const Dichotomy& d);
 
 struct AssignOptions {
   /// Require all state codes distinct (the "unicode" in USTT).  On by

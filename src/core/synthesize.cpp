@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
@@ -100,10 +101,13 @@ SynthesisOptions options_from_string(std::string_view text) {
   };
   const auto parse_budget = [&](std::string_view key, std::string_view value,
                                 std::size_t& out) {
+    // Digits only: strtoull would skip blanks and negate a leading '-'
+    // into a huge unsigned value.
     const std::string v(value);
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-    if (v.empty() || end != v.c_str() + v.size()) {
+    errno = 0;
+    const unsigned long long n = std::strtoull(v.c_str(), nullptr, 10);
+    if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos ||
+        errno == ERANGE) {
       fail(std::string(key) + " needs an unsigned integer, got '" + v + "'");
     }
     out = static_cast<std::size_t>(n);
@@ -147,6 +151,10 @@ SynthesisOptions options_from_string(std::string_view text) {
       parse_bool(key, value, options.tt);
     } else if (key == "tt-mb") {
       parse_budget(key, value, options.tt_mb);
+      if (options.tt_mb > kMaxTtMb) {
+        fail("tt-mb must be at most " + std::to_string(kMaxTtMb) + ", got '" +
+             std::string(value) + "'");
+      }
     } else {
       // Unknown keys are rejected, not skipped: a key this build does not
       // know could change results in the build that wrote it, so treating

@@ -39,7 +39,6 @@ struct VariableLayout {
   int num_state_vars = 0;
   bool has_fsv = true;
 
-  [[nodiscard]] int input_var(int i) const { return i; }
   [[nodiscard]] int state_var(int n) const { return num_inputs + n; }
   [[nodiscard]] int fsv_var() const { return num_inputs + num_state_vars; }
   /// Variable count of the (x, y) space used by Z, SSD and fsv covers.
@@ -61,6 +60,11 @@ struct Equation {
   Equation() : cover(0) {}
   explicit Equation(logic::Cover c) : cover(std::move(c)) {}
 };
+
+/// Ceiling on SynthesisOptions::tt_mb accepted from text (a serve OPT
+/// line, `--tt-mb`): 64 GiB per table.  Larger values could only fail to
+/// allocate, or make a served request claim a machine's memory.
+inline constexpr std::size_t kMaxTtMb = 65536;
 
 struct SynthesisOptions {
   /// Step 2 on/off (off keeps the input rows verbatim).
@@ -93,7 +97,8 @@ struct SynthesisOptions {
   /// search to run cold, node-for-node identical to the memoization-free
   /// engines.
   bool tt = true;
-  /// Transposition-table size in MiB (one table per batch worker).
+  /// Transposition-table size in MiB (one table per batch worker); the
+  /// options codec and the CLI accept at most kMaxTtMb.
   std::size_t tt_mb = 16;
   assign::AssignOptions assign;
   minimize::ReduceOptions reduce;

@@ -1,5 +1,6 @@
 #include "driver/batch.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -27,19 +28,6 @@ using Clock = std::chrono::steady_clock;
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
-
-// RFC-4180 quoting: job names can be arbitrary file paths, so commas,
-// quotes and newlines must not shift the metric columns.
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\r\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
 }
 
 int resolve_threads(int requested, int jobs) {
@@ -165,6 +153,17 @@ std::string BatchReport::summary(bool per_job) const {
                   max_shard_wall_ms);
     out += line;
   }
+  return out;
+}
+
+std::string csv_escape(const std::string& field) {
+  if (field.find_first_of(",\"\r\n") == std::string::npos) return field;
+  std::string out = "\"";
+  for (char c : field) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
   return out;
 }
 
@@ -294,8 +293,12 @@ JobResult run_with_deadline(std::string name, double timeout_ms,
     slot->cv.notify_all();
   }).detach();
 
+  // wait_for converts the budget to the clock's integer nanoseconds, a
+  // cast that overflows past ~292 years, so the wait stops at 1e12 ms
+  // (~31 years).
+  const double wait_ms = std::min(timeout_ms, 1e12);
   std::unique_lock<std::mutex> lock(slot->m);
-  if (slot->cv.wait_for(lock, std::chrono::duration<double, std::milli>(timeout_ms),
+  if (slot->cv.wait_for(lock, std::chrono::duration<double, std::milli>(wait_ms),
                         [&] { return slot->done; })) {
     return std::move(slot->result);
   }
@@ -309,14 +312,14 @@ JobResult run_with_deadline(std::string name, double timeout_ms,
   return r;
 }
 
-void run_checks(const core::FantomMachine& machine, const BatchOptions& options,
+void run_checks(const core::FantomMachine& machine, const Checks& checks,
                 JobResult& r) {
   // Baseline (fsv-less) machines are *expected* to flag ternary checks —
   // that is the paper's comparison point — so at most protected machines
   // fail on flags, and only when the caller asked for the strict
   // interpretation.
-  const bool strict = options.ternary_strict && machine.options.add_fsv;
-  if (options.verify) {
+  const bool strict = checks.ternary_strict && machine.options.add_fsv;
+  if (checks.verify) {
     std::string why;
     r.equations_verified = core::verify_equations(machine, &why);
     if (!r.equations_verified) {
@@ -325,7 +328,7 @@ void run_checks(const core::FantomMachine& machine, const BatchOptions& options,
       return;
     }
   }
-  if (options.ternary) {
+  if (checks.ternary) {
     const sim::TernaryReport cover = sim::ternary_verify(machine);
     r.ternary_transitions = cover.transitions_checked;
     r.ternary_a_violations = cover.procedure_a_violations;
@@ -336,7 +339,7 @@ void run_checks(const core::FantomMachine& machine, const BatchOptions& options,
       return;
     }
   }
-  if (!options.gate_ternary) return;
+  if (!checks.gate_ternary) return;
   // The gate-level pass deliberately runs on the *re-imported* netlist,
   // so every gated job exercises the whole loop: build -> to_verilog ->
   // parse_verilog -> gate_ternary_verify.  Export or parse errors throw
@@ -356,7 +359,7 @@ void run_checks(const core::FantomMachine& machine, const BatchOptions& options,
   // Both levels run one kernel over one transition set, so their flag
   // counts differ only when the netlist computes something other than
   // the covers.
-  if (options.ternary &&
+  if (checks.ternary &&
       (r.gate_ternary_a_violations != r.ternary_a_violations ||
        r.gate_ternary_b_violations != r.ternary_b_violations)) {
     r.status = JobStatus::kVerifyFailed;
@@ -373,7 +376,7 @@ void run_checks(const core::FantomMachine& machine, const BatchOptions& options,
   }
 }
 
-JobResult BatchRunner::run_job(const JobSpec& spec, const BatchOptions& options,
+JobResult BatchRunner::run_job(const JobSpec& spec, const Checks& checks,
                                core::FantomMachine* machine_out,
                                search::TranspositionTable* tt) {
   // `tt` is the worker's reusable allocation, nothing more:
@@ -408,7 +411,7 @@ JobResult BatchRunner::run_job(const JobSpec& spec, const BatchOptions& options,
     r.gate_count = machine.gate_count();
     r.cover_cubes = static_cast<int>(machine.cover_bounds.cubes);
     r.cover_gap = static_cast<int>(machine.cover_bounds.gap());
-    run_checks(machine, options, r);
+    run_checks(machine, checks, r);
   } catch (const std::exception& e) {
     r.status = JobStatus::kSynthesisError;
     r.detail = e.what();
@@ -420,24 +423,26 @@ JobResult BatchRunner::run_job(const JobSpec& spec, const BatchOptions& options,
   return r;
 }
 
+JobResult BatchRunner::run_job_with_deadline(
+    const JobSpec& spec, const Checks& checks,
+    std::shared_ptr<search::TranspositionTable> tt) {
+  JobResult r = run_with_deadline(
+      spec.name, checks.job_timeout_ms,
+      [spec, checks, tt] { return run_job(spec, checks, nullptr, tt.get()); });
+  if (r.status == JobStatus::kTimeout) {
+    r.num_inputs = spec.table.num_inputs();
+    r.num_outputs = spec.table.num_outputs();
+    r.input_states = spec.table.num_states();
+  }
+  return r;
+}
+
 BatchReport BatchRunner::run() const {
   BatchReport report;
   report.jobs.resize(jobs_.size());
   const int threads = resolve_threads(options_.threads, job_count());
   report.threads_used = threads;
   const auto start = Clock::now();
-
-  // One sanitized options copy per run, shared by every watchdog body:
-  // BatchOptions carries std::function members, so copying it per job
-  // was real work, and the progress callback must not leak into
-  // abandoned workers.  Shared ownership (not a reference) because an
-  // abandoned worker may outlive this runner and this run() call.
-  std::shared_ptr<const BatchOptions> sanitized;
-  if (options_.job_timeout_ms > 0) {
-    auto opts = std::make_shared<BatchOptions>(options_);
-    opts->on_result = nullptr;
-    sanitized = std::move(opts);
-  }
 
   // Work-stealing by atomic index: workers write disjoint slots of
   // report.jobs; the counter, the progress channel, and the tt-stats
@@ -450,34 +455,38 @@ BatchReport BatchRunner::run() const {
     return std::make_shared<search::TranspositionTable>(
         options_.synthesis.tt_mb << 20);
   };
-  auto worker = [&] {
-    // One transposition table per worker, persisting across its jobs:
-    // structurally similar corpus jobs warm each other, and worker-local
-    // ownership keeps probes lock-free.  Results do not depend on which
-    // jobs land on which worker — memoization only changes node counts —
-    // so the work-stealing schedule stays invisible in the report.
-    std::shared_ptr<search::TranspositionTable> tt = fresh_tt();
+  // One transposition table per worker, persisting across its jobs:
+  // structurally similar corpus jobs warm each other, and worker-local
+  // ownership keeps probes lock-free.  Results do not depend on which
+  // jobs land on which worker — memoization only changes node counts —
+  // so the work-stealing schedule stays invisible in the report.  The
+  // tables are allocated here, on the caller's thread, so a size the
+  // machine cannot honour throws out of run() instead of terminating
+  // the process from a worker.
+  std::vector<std::shared_ptr<search::TranspositionTable>> tables;
+  for (int t = 0; t < threads; ++t) tables.push_back(fresh_tt());
+  auto worker = [&](std::shared_ptr<search::TranspositionTable> tt) {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= jobs_.size()) break;
       const JobSpec& spec = jobs_[i];
       if (options_.job_timeout_ms > 0) {
-        // The watchdog body owns a copy of the spec (an abandoned worker
-        // may outlive the runner) but shares the one sanitized options —
-        // and co-owns the table, so on timeout the detached thread still
-        // has a live table to write into.
-        report.jobs[i] = run_with_deadline(
-            spec.name, options_.job_timeout_ms,
-            [spec, sanitized, tt] { return run_job(spec, *sanitized, nullptr,
-                                                   tt.get()); });
+        // The watchdog body co-owns the table, so on timeout the detached
+        // thread still has a live table to write into.
+        report.jobs[i] = run_job_with_deadline(spec, options_, tt);
         if (report.jobs[i].status == JobStatus::kTimeout) {
-          report.jobs[i].num_inputs = spec.table.num_inputs();
-          report.jobs[i].num_outputs = spec.table.num_outputs();
-          report.jobs[i].input_states = spec.table.num_states();
           // The abandoned worker may still be probing/storing its table;
           // replace rather than share a data race with it (its stats are
-          // forfeited along with the warmth).
-          if (tt != nullptr) tt = fresh_tt();
+          // forfeited along with the warmth).  Should the replacement not
+          // fit, core::synthesize sizes one per job and a failure becomes
+          // that job's row.
+          if (tt != nullptr) {
+            try {
+              tt = fresh_tt();
+            } catch (const std::exception&) {
+              tt = nullptr;
+            }
+          }
         }
       } else {
         report.jobs[i] = run_job(spec, options_, nullptr, tt.get());
@@ -494,11 +503,11 @@ BatchReport BatchRunner::run() const {
     }
   };
   if (threads <= 1) {
-    worker();
+    worker(std::move(tables.front()));
   } else {
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
+    for (auto& tt : tables) pool.emplace_back(worker, std::move(tt));
     for (auto& th : pool) th.join();
   }
 

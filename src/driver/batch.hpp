@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -38,10 +39,10 @@ enum class JobStatus : std::uint8_t {
                     ///< gate-level ternary verdict disagreed with the
                     ///< cover-level one
   kHazardUnclean,   ///< ternary flags, promoted to failure only under
-                    ///< BatchOptions::ternary_strict (Eichelberger is
+                    ///< Checks::ternary_strict (Eichelberger is
                     ///< conservative for MIC transitions, so flags are
                     ///< recorded as metrics by default)
-  kTimeout,         ///< exceeded BatchOptions::job_timeout_ms; the worker
+  kTimeout,         ///< exceeded Checks::job_timeout_ms; the worker
                     ///< is abandoned so the rest of the batch proceeds
   kCrashed,         ///< the job's shard worker process died before
                     ///< reporting it (sharded runs only — recorded by the
@@ -141,7 +142,7 @@ struct JobResult {
   int ternary_transitions = 0;
   int ternary_a_violations = 0;
   int ternary_b_violations = 0;
-  /// Gate-level Eichelberger counts (BatchOptions::gate_ternary): the
+  /// Gate-level Eichelberger counts (Checks::gate_ternary): the
   /// machine's netlist is exported to Verilog, re-imported, and verified
   /// at the gate level, so these columns witness the full round trip.
   /// run_checks fails the row when they differ from the cover-level
@@ -162,6 +163,11 @@ struct JobResult {
 
   [[nodiscard]] bool ok() const { return status == JobStatus::kOk; }
 };
+
+/// RFC-4180 quoting of one CSV field: job names can be arbitrary file
+/// paths, so commas, quotes and newlines must not shift the columns of
+/// a report or a store diff.
+[[nodiscard]] std::string csv_escape(const std::string& field);
 
 /// One kCsvHeader-shaped CSV record for `result` (RFC-4180 name quoting,
 /// no wall_ms column, no trailing newline) — the exact bytes
@@ -199,9 +205,13 @@ struct BatchReport {
   [[nodiscard]] std::string to_csv(bool with_wall_ms = false) const;
 };
 
-struct BatchOptions {
-  /// Worker threads; 0 = std::thread::hardware_concurrency().
-  int threads = 0;
+/// The check set: which verification passes run on a synthesized machine,
+/// how strictly, and the per-job watchdog.  Every field decides row
+/// bytes, so batch (BatchOptions), a single request
+/// (api::SynthesisRequest) and a server (api::ServeConfig) all carry this
+/// one struct, and store::describe spells it for identities and cache
+/// keys.
+struct Checks {
   /// Run core::verify_equations on every synthesized machine.
   bool verify = true;
   /// Run sim::ternary_verify (Eichelberger procedures A/B) as well.
@@ -225,6 +235,11 @@ struct BatchOptions {
   /// speed — pick budgets far above normal job times when reports must be
   /// reproducible.
   double job_timeout_ms = 0;
+};
+
+struct BatchOptions : Checks {
+  /// Worker threads; 0 = std::thread::hardware_concurrency().
+  int threads = 0;
   /// Streaming progress: called once per finished job, serialized, in
   /// completion (not submission) order.  `completed` counts calls so far,
   /// `total` is the corpus size.  Leave empty for silent runs.
@@ -251,7 +266,7 @@ struct BatchOptions {
 /// A/B counts must agree, else kVerifyFailed.  Fills the verification
 /// columns of `row` and, on a failed check, its status and detail;
 /// throws what a check throws (run_job records it as kSynthesisError).
-void run_checks(const core::FantomMachine& machine, const BatchOptions& options,
+void run_checks(const core::FantomMachine& machine, const Checks& checks,
                 JobResult& row);
 
 /// Deterministic per-job seed: splitmix64 of (base, index).  Stable across
@@ -311,11 +326,20 @@ class BatchRunner {
   /// matter whose table is handed in.  Only the allocation and the
   /// cumulative TtStats outlive the call.
   [[nodiscard]] static JobResult run_job(const JobSpec& spec,
-                                         const BatchOptions& options,
+                                         const Checks& checks,
                                          core::FantomMachine* machine_out =
                                              nullptr,
                                          search::TranspositionTable* tt =
                                              nullptr);
+
+  /// run_job under the checks' job_timeout_ms watchdog (run_with_deadline):
+  /// a job that overruns yields a kTimeout row that still carries the
+  /// table's shape columns.  The watchdog body owns copies of the spec and
+  /// the checks, and co-owns `tt`, because an abandoned worker may outlive
+  /// the caller.  The batch pool and api::synthesize both time jobs here.
+  [[nodiscard]] static JobResult run_job_with_deadline(
+      const JobSpec& spec, const Checks& checks,
+      std::shared_ptr<search::TranspositionTable> tt = nullptr);
 
  private:
   BatchOptions options_;

@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "fleet/dir.hpp"
+#include "search/search.hpp"
 
 namespace seance::fleet {
 
@@ -21,15 +22,6 @@ double ms_since(Clock::time_point start) {
 }
 
 }  // namespace
-
-std::uint64_t fnv64(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 std::vector<Slice> make_slices(const driver::ShardPlan& plan,
                                const std::vector<std::string>& names,
@@ -83,9 +75,10 @@ FleetReport FleetRunner::run(const std::vector<Slice>& slices) {
                    [&](std::size_t a, std::size_t b) {
                      return slices[a].cost > slices[b].cost;
                    });
+  const std::string& id = options_.runner_id;
   std::rotate(order.begin(),
               order.begin() + static_cast<std::ptrdiff_t>(
-                                  fnv64(options_.runner_id) % n),
+                                  search::fnv64(id.data(), id.size()) % n),
               order.end());
 
   struct Active {

@@ -39,7 +39,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "driver/shard.hpp"
@@ -54,10 +53,6 @@ class DirBackend;
 /// without ballooning per-unit spawn overhead.  Local `--shards K` runs
 /// default to one unit per worker process instead.
 inline constexpr int kDefaultFleetUnits = 16;
-
-/// FNV-1a over the bytes — stable across platforms.  Used for the
-/// per-runner LPT rotation and DirBackend lease nonces.
-[[nodiscard]] std::uint64_t fnv64(std::string_view bytes);
 
 /// One lease unit: a named slice of the corpus plan.  Everything here is
 /// a pure function of (index, total, corpus) — never of the runner — so

@@ -17,39 +17,11 @@ void sort_unique(std::vector<TotalState>& v) {
   v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
-}  // namespace
-
-namespace {
-
 std::uint32_t state_var_mask(int num_state_vars) {
   return num_state_vars >= 32 ? 0xffffffffu : ((1u << num_state_vars) - 1u);
 }
 
 }  // namespace
-
-std::uint32_t notinvariant_mask(const EncodedTable& encoded, int state_a,
-                                int state_b, int intermediate_column) {
-  const FlowTable& table = *encoded.table;
-  const Entry& mid = table.entry(state_a, intermediate_column);
-  if (!mid.specified()) return 0;  // filled to hold: cannot disturb
-  const std::uint32_t code_a = encoded.codes[static_cast<std::size_t>(state_a)];
-  const std::uint32_t code_b = encoded.codes[static_cast<std::size_t>(state_b)];
-  const std::uint32_t code_mid = encoded.codes[static_cast<std::size_t>(mid.next)];
-  // Bits that must hold across the transition but move at the intermediate.
-  const std::uint32_t invariant = ~(code_a ^ code_b);
-  return (code_a ^ code_mid) & invariant & state_var_mask(encoded.num_state_vars);
-}
-
-std::vector<int> notinvariant(const EncodedTable& encoded, int state_a,
-                              int state_b, int intermediate_column) {
-  std::vector<int> hits;
-  for (std::uint32_t bits = notinvariant_mask(encoded, state_a, state_b,
-                                              intermediate_column);
-       bits != 0; bits &= bits - 1) {
-    hits.push_back(std::countr_zero(bits));
-  }
-  return hits;
-}
 
 HazardLists find_hazards(const EncodedTable& encoded) {
   if (encoded.table == nullptr) throw std::invalid_argument("find_hazards: null table");

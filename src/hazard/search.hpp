@@ -55,23 +55,10 @@ struct HazardLists {
 };
 
 /// Runs the Fig. 4 search over every stable-state transition of the table.
-/// The table must be normal-mode.
+/// The table must be normal-mode.  The paper's `notinvariant` primitive is
+/// one mask operation inside the loop: the state variables that must hold
+/// across s_a -> s_b but move at (x^k, y^a), all tested at once.
 [[nodiscard]] HazardLists find_hazards(const EncodedTable& encoded);
-
-/// The paper's `notinvariant` primitive for a single intermediate point:
-/// returns the indices of state variables that must stay invariant across
-/// the transition (y^a -> Y^b) but take a different value at (x^k, y^a).
-/// Empty when the entry at (x^k, s_a) is unspecified.
-[[nodiscard]] std::vector<int> notinvariant(const EncodedTable& encoded,
-                                            int state_a, int state_b,
-                                            int intermediate_column);
-
-/// Allocation-free form of `notinvariant`: bit n set iff state variable n
-/// is disturbed.  This is what the Fig. 4 search loop uses — one mask
-/// operation tests all state variables at once.
-[[nodiscard]] std::uint32_t notinvariant_mask(const EncodedTable& encoded,
-                                              int state_a, int state_b,
-                                              int intermediate_column);
 
 [[nodiscard]] std::string to_string(const HazardLists& lists,
                                     const flowtable::FlowTable& table);

@@ -68,23 +68,6 @@ bool Cube::contains(const Cube& other) const {
   return (care_ & ~other.care_) == 0 && ((value_ ^ other.value_) & care_) == 0;
 }
 
-bool Cube::intersects(const Cube& other) const {
-  const std::uint32_t common = care_ & other.care_;
-  return ((value_ ^ other.value_) & common) == 0;
-}
-
-std::optional<Cube> Cube::intersection(const Cube& other) const {
-  if (!intersects(other)) return std::nullopt;
-  return Cube(num_vars_, care_ | other.care_, value_ | other.value_);
-}
-
-std::optional<Cube> Cube::combined_with(const Cube& other) const {
-  if (care_ != other.care_) return std::nullopt;
-  const std::uint32_t diff = value_ ^ other.value_;
-  if (std::popcount(diff) != 1) return std::nullopt;
-  return Cube(num_vars_, care_ & ~diff, value_ & ~diff);
-}
-
 std::vector<Minterm> Cube::minterms() const {
   std::vector<Minterm> result;
   const std::uint32_t space = mask_for(num_vars_);
@@ -121,13 +104,6 @@ Cover::Cover(int num_vars, std::vector<Cube> cubes)
   }
 }
 
-Cover Cover::from_minterms(int num_vars, std::span<const Minterm> on) {
-  Cover cover(num_vars);
-  cover.cubes_.reserve(on.size());
-  for (Minterm m : on) cover.add(Cube::from_minterm(num_vars, m));
-  return cover;
-}
-
 void Cover::add(Cube c) {
   if (c.num_vars() != num_vars_) {
     throw std::invalid_argument("Cover::add: cube arity mismatch");
@@ -143,30 +119,6 @@ bool Cover::eval(Minterm m) const {
 bool Cover::single_cube_contains(const Cube& c) const {
   return std::any_of(cubes_.begin(), cubes_.end(),
                      [&c](const Cube& cube) { return cube.contains(c); });
-}
-
-std::vector<Minterm> Cover::on_set() const {
-  std::vector<Minterm> result;
-  const std::uint32_t space_size = 1u << num_vars_;
-  for (Minterm m = 0; m < space_size; ++m) {
-    if (eval(m)) result.push_back(m);
-  }
-  return result;
-}
-
-bool Cover::equals_function(std::span<const Minterm> on,
-                            std::span<const Minterm> dc) const {
-  std::vector<char> allowed(1u << num_vars_, 0);
-  for (Minterm m : on) allowed[m] = 1;
-  for (Minterm m : dc) allowed[m] = 1;
-  for (Minterm m : on) {
-    if (!eval(m)) return false;
-  }
-  const std::uint32_t space_size = 1u << num_vars_;
-  for (Minterm m = 0; m < space_size; ++m) {
-    if (!allowed[m] && eval(m)) return false;
-  }
-  return true;
 }
 
 int Cover::literal_count() const {

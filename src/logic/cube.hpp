@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -51,9 +50,6 @@ class Cube {
   /// Number of literals (cared variables) in the product term.
   [[nodiscard]] int literal_count() const;
 
-  /// Number of free (don't-care) variables; the cube covers 2^free minterms.
-  [[nodiscard]] int free_var_count() const { return num_vars_ - literal_count(); }
-
   /// True iff the minterm satisfies every literal.
   [[nodiscard]] bool contains(Minterm m) const {
     return ((m ^ value_) & care_) == 0;
@@ -61,17 +57,6 @@ class Cube {
 
   /// True iff `other` is a sub-cube of this cube (set containment).
   [[nodiscard]] bool contains(const Cube& other) const;
-
-  /// True iff the two cubes share at least one minterm.
-  [[nodiscard]] bool intersects(const Cube& other) const;
-
-  /// Intersection (product) of two cubes, or nullopt if empty.
-  [[nodiscard]] std::optional<Cube> intersection(const Cube& other) const;
-
-  /// Quine-McCluskey adjacency: if the cubes have identical care masks and
-  /// values differing in exactly one cared bit, returns their merge with
-  /// that variable freed; otherwise nullopt.
-  [[nodiscard]] std::optional<Cube> combined_with(const Cube& other) const;
 
   /// All minterms covered by the cube, in increasing order.
   [[nodiscard]] std::vector<Minterm> minterms() const;
@@ -109,9 +94,6 @@ class Cover {
   explicit Cover(int num_vars);
   Cover(int num_vars, std::vector<Cube> cubes);
 
-  /// Cover consisting of one full-care cube per ON-set minterm.
-  [[nodiscard]] static Cover from_minterms(int num_vars, std::span<const Minterm> on);
-
   [[nodiscard]] int num_vars() const { return num_vars_; }
   [[nodiscard]] const std::vector<Cube>& cubes() const { return cubes_; }
   [[nodiscard]] std::size_t size() const { return cubes_.size(); }
@@ -125,15 +107,6 @@ class Cover {
   /// True iff some single cube contains the whole sub-cube `c`
   /// (the classic static-hazard-freedom condition for a transition cube).
   [[nodiscard]] bool single_cube_contains(const Cube& c) const;
-
-  /// Every ON-set minterm of the cover, by exhaustive enumeration
-  /// (intended for tests / small equation spaces).
-  [[nodiscard]] std::vector<Minterm> on_set() const;
-
-  /// Exact functional check: covers every minterm of `on`, and covers
-  /// nothing outside on ∪ dc.  Exhaustive over 2^num_vars.
-  [[nodiscard]] bool equals_function(std::span<const Minterm> on,
-                                     std::span<const Minterm> dc) const;
 
   /// Total literal count over all cubes.
   [[nodiscard]] int literal_count() const;

@@ -223,33 +223,4 @@ ExprPtr first_level_sop_expr(const Cover& cover) {
   return Expr::make_or(std::move(terms));
 }
 
-bool equivalent_to_cover(const ExprPtr& e, const Cover& cover) {
-  const int n = std::max(e->num_vars(), cover.num_vars());
-  if (n > 20) throw std::invalid_argument("equivalent_to_cover: too many vars");
-  const std::uint32_t space_size = 1u << n;
-  for (std::uint32_t m = 0; m < space_size; ++m) {
-    if (e->eval(m) != cover.eval(m)) return false;
-  }
-  return true;
-}
-
-bool is_first_level_gate_form(const ExprPtr& e) {
-  switch (e->op()) {
-    case Op::kConst:
-    case Op::kVar:
-      return true;
-    case Op::kNot:
-      return false;
-    case Op::kNor:
-      // A first-level NOR may only see raw variables.
-      return std::all_of(e->kids().begin(), e->kids().end(),
-                         [](const ExprPtr& k) { return k->op() == Op::kVar; });
-    case Op::kAnd:
-    case Op::kOr:
-      return std::all_of(e->kids().begin(), e->kids().end(),
-                         [](const ExprPtr& k) { return is_first_level_gate_form(k); });
-  }
-  return false;
-}
-
 }  // namespace seance::logic

@@ -82,13 +82,4 @@ class Expr {
 /// Product term for one cube in first-level-gate form.
 [[nodiscard]] ExprPtr first_level_product(const Cube& cube);
 
-/// Exhaustive equivalence check against a cover over the same variables
-/// (intended for tests; 2^num_vars evaluations).
-[[nodiscard]] bool equivalent_to_cover(const ExprPtr& e, const Cover& cover);
-
-/// True iff every first-level (depth-1-from-leaf) gate input is an
-/// uncomplemented variable, i.e. the tree contains no NOT nodes and no
-/// NOR whose children are themselves gates fed by complemented inputs.
-[[nodiscard]] bool is_first_level_gate_form(const ExprPtr& e);
-
 }  // namespace seance::logic

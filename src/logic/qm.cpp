@@ -21,11 +21,6 @@ std::vector<Minterm> dedup(std::span<const Minterm> v) {
 
 }  // namespace
 
-std::vector<Cube> compute_primes(int num_vars, std::span<const Minterm> on,
-                                 std::span<const Minterm> dc) {
-  return prime_engine::compute_primes(num_vars, on, dc);
-}
-
 Cover select_cover(int num_vars, std::span<const Minterm> on,
                    std::span<const Minterm> dc, CoverMode mode,
                    CoverStats* stats, std::size_t exact_node_budget,
@@ -176,57 +171,9 @@ Cover select_cover(int num_vars, std::span<const Minterm> on,
   return Cover(num_vars, std::move(chosen));
 }
 
-Cover minimize_sop(int num_vars, std::span<const Minterm> on,
-                   std::span<const Minterm> dc) {
-  return select_cover(num_vars, on, dc, CoverMode::kEssentialSop);
-}
-
 Cover all_primes_cover(int num_vars, std::span<const Minterm> on,
                        std::span<const Minterm> dc) {
   return select_cover(num_vars, on, dc, CoverMode::kAllPrimes);
-}
-
-bool is_prime_implicant(const Cube& c, int num_vars,
-                        std::span<const Minterm> on,
-                        std::span<const Minterm> dc) {
-  std::vector<char> allowed(1u << num_vars, 0);
-  for (Minterm m : on) allowed[m] = 1;
-  for (Minterm m : dc) allowed[m] = 1;
-  const auto implies = [&](const Cube& cube) {
-    for (Minterm m : cube.minterms()) {
-      if (!allowed[m]) return false;
-    }
-    return true;
-  };
-  if (!implies(c)) return false;
-  // Enlarging by dropping any literal must leave the allowed region.
-  for (int b = 0; b < num_vars; ++b) {
-    const std::uint32_t bit = 1u << b;
-    if (!(c.care() & bit)) continue;
-    if (implies(Cube(num_vars, c.care() & ~bit, c.value() & ~bit))) return false;
-  }
-  return true;
-}
-
-bool is_irredundant(const Cover& cover, std::span<const Minterm> on) {
-  for (std::size_t skip = 0; skip < cover.size(); ++skip) {
-    bool some_uncovered = false;
-    for (Minterm m : on) {
-      bool covered = false;
-      for (std::size_t i = 0; i < cover.size(); ++i) {
-        if (i != skip && cover.cubes()[i].contains(m)) {
-          covered = true;
-          break;
-        }
-      }
-      if (!covered && cover.cubes()[skip].contains(m)) {
-        some_uncovered = true;
-        break;
-      }
-    }
-    if (!some_uncovered) return false;
-  }
-  return true;
 }
 
 }  // namespace seance::logic

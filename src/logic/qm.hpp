@@ -21,14 +21,6 @@
 
 namespace seance::logic {
 
-/// All prime implicants of the incompletely specified function with the
-/// given ON-set and DC-set (minterm lists may be unsorted; duplicates are
-/// tolerated).  Primes that cover only DC minterms are retained here and
-/// filtered by the cover selectors below.
-[[nodiscard]] std::vector<Cube> compute_primes(int num_vars,
-                                               std::span<const Minterm> on,
-                                               std::span<const Minterm> dc);
-
 /// Cover-selection policy.
 enum class CoverMode {
   /// Essential primes plus an exact branch-and-bound completion —
@@ -105,22 +97,8 @@ inline constexpr std::size_t kExactCellLimit = 524'288;
     search::TranspositionTable* tt = nullptr,
     std::size_t exact_cell_limit = kExactCellLimit);
 
-/// Convenience: minimum essential-SOP cover (paper's reduction for Z/SSD/Y).
-[[nodiscard]] Cover minimize_sop(int num_vars, std::span<const Minterm> on,
-                                 std::span<const Minterm> dc);
-
 /// Convenience: all-primes cover (paper's reduction for fsv).
 [[nodiscard]] Cover all_primes_cover(int num_vars, std::span<const Minterm> on,
                                      std::span<const Minterm> dc);
-
-/// True iff `c` is a prime implicant of the function (c covers only
-/// on ∪ dc, and no single-literal enlargement of c still does).
-[[nodiscard]] bool is_prime_implicant(const Cube& c, int num_vars,
-                                      std::span<const Minterm> on,
-                                      std::span<const Minterm> dc);
-
-/// True iff removing any cube from the cover uncovers some ON minterm.
-[[nodiscard]] bool is_irredundant(const Cover& cover,
-                                  std::span<const Minterm> on);
 
 }  // namespace seance::logic

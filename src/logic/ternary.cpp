@@ -1,6 +1,5 @@
 #include "logic/ternary.hpp"
 
-#include <stdexcept>
 #include <vector>
 
 namespace seance::logic {
@@ -46,63 +45,6 @@ Val3 eval3(const Cover& cover, std::span<const Val3> vals) {
   return result;
 }
 
-Val3 eval3(const ExprPtr& e, std::span<const Val3> vals) {
-  switch (e->op()) {
-    case Op::kConst:
-      return e->const_value() ? Val3::k1 : Val3::k0;
-    case Op::kVar:
-      return vals[static_cast<std::size_t>(e->var_index())];
-    case Op::kNot:
-      return not3(eval3(e->kids().front(), vals));
-    case Op::kAnd: {
-      Val3 v = Val3::k1;
-      for (const ExprPtr& k : e->kids()) v = and3(v, eval3(k, vals));
-      return v;
-    }
-    case Op::kOr: {
-      Val3 v = Val3::k0;
-      for (const ExprPtr& k : e->kids()) v = or3(v, eval3(k, vals));
-      return v;
-    }
-    case Op::kNor: {
-      Val3 v = Val3::k0;
-      for (const ExprPtr& k : e->kids()) v = or3(v, eval3(k, vals));
-      return not3(v);
-    }
-  }
-  return Val3::kX;
-}
-
-bool ternary_transition_clean(const Cover& cover, Minterm from, Minterm to) {
-  const int n = cover.num_vars();
-  std::vector<Val3> vals(static_cast<std::size_t>(n));
-  const std::uint32_t diff = from ^ to;
-  for (int i = 0; i < n; ++i) {
-    const std::uint32_t bit = 1u << i;
-    if (diff & bit) {
-      vals[static_cast<std::size_t>(i)] = Val3::kX;
-    } else {
-      vals[static_cast<std::size_t>(i)] = (from & bit) ? Val3::k1 : Val3::k0;
-    }
-  }
-  const Val3 mid = eval3(cover, vals);
-  const bool v_from = cover.eval(from);
-  const bool v_to = cover.eval(to);
-  if (v_from == v_to) {
-    // Static transition: determinate ternary value means no glitch.
-    if (mid != Val3::kX) return true;
-    // A single cube spanning the whole transition sub-cube also suffices
-    // for static-1 (and an empty intersection for static-0).
-    if (v_from) {
-      Cube span(n, ~diff & ((n >= 32) ? ~0u : ((1u << n) - 1u)), from & ~diff);
-      return cover.single_cube_contains(span);
-    }
-    return false;
-  }
-  // Dynamic transition: accepted when determinate at X (monotone network).
-  return mid != Val3::kX;
-}
-
 int make_sic_static1_hazard_free(Cover& cover) {
   const int n = cover.num_vars();
   const std::uint32_t space_size = 1u << n;
@@ -136,24 +78,6 @@ int make_sic_static1_hazard_free(Cover& cover) {
     }
   }
   return added;
-}
-
-bool sic_static1_hazard_free(const Cover& cover) {
-  const int n = cover.num_vars();
-  const std::uint32_t space_size = 1u << n;
-  for (Minterm m = 0; m < space_size; ++m) {
-    if (!cover.eval(m)) continue;
-    for (int b = 0; b < n; ++b) {
-      const Minterm m2 = m ^ (1u << b);
-      if (m2 < m) continue;  // each unordered pair once
-      if (!cover.eval(m2)) continue;
-      // Both endpoints ON: some cube must contain both.
-      Cube pair_cube(n, ((n >= 32) ? ~0u : ((1u << n) - 1u)) & ~(1u << b),
-                     m & ~(1u << b));
-      if (!cover.single_cube_contains(pair_cube)) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace seance::logic

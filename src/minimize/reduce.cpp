@@ -166,15 +166,6 @@ std::vector<StateSet> compatibility_rows(const FlowTable& table) {
   return rows;
 }
 
-bool is_compatible_set(const FlowTable& /*table*/,
-                       const std::vector<StateSet>& rows, StateSet set) {
-  for (StateSet rest = set; rest != 0; rest &= rest - 1) {
-    const int s = std::countr_zero(rest);
-    if ((set & ~rows[static_cast<std::size_t>(s)]) != 0) return false;
-  }
-  return true;
-}
-
 std::vector<StateSet> maximal_compatibles(const FlowTable& table,
                                           const std::vector<StateSet>& rows) {
   const int n = table.num_states();
@@ -291,38 +282,6 @@ std::vector<PrimeCompatible> prime_compatibles(const FlowTable& table,
     }
   }
   return primes;
-}
-
-bool is_closed_cover(const FlowTable& table, const std::vector<StateSet>& classes,
-                     std::string* why) {
-  StateSet covered = 0;
-  for (StateSet c : classes) covered |= c;
-  for (int s = 0; s < table.num_states(); ++s) {
-    if (!(covered & (StateSet{1} << s))) {
-      if (why != nullptr) *why = "state " + table.state_name(s) + " not covered";
-      return false;
-    }
-  }
-  for (StateSet c : classes) {
-    for (int col = 0; col < table.num_columns(); ++col) {
-      StateSet dest = 0;
-      for (int s : set_members(c)) {
-        const Entry& e = table.entry(s, col);
-        if (e.specified()) dest |= StateSet{1} << e.next;
-      }
-      if (dest == 0) continue;
-      const bool contained = std::any_of(classes.begin(), classes.end(),
-                                         [&](StateSet k) { return (dest & ~k) == 0; });
-      if (!contained) {
-        if (why != nullptr) {
-          *why = "implied class of column " + std::to_string(col) +
-                 " not contained in any chosen class";
-        }
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 namespace {

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "flowtable/table.hpp"
@@ -47,11 +46,6 @@ inline constexpr int kMaxStates = 64;
 /// constant number of times instead of once per fixpoint sweep.
 [[nodiscard]] std::vector<StateSet> compatibility_rows(
     const flowtable::FlowTable& table);
-
-/// True iff all states in `set` are pairwise compatible.
-[[nodiscard]] bool is_compatible_set(const flowtable::FlowTable& table,
-                                     const std::vector<StateSet>& rows,
-                                     StateSet set);
 
 /// Maximal compatibles (maximal cliques of the pair-compatibility graph).
 [[nodiscard]] std::vector<StateSet> maximal_compatibles(
@@ -108,13 +102,6 @@ struct ReduceOptions {
 [[nodiscard]] ReductionResult reduce(const flowtable::FlowTable& table,
                                      const ReduceOptions& options = {},
                                      search::TranspositionTable* tt = nullptr);
-
-/// Checks that `classes` is a closed cover of the table (every state
-/// covered, every implied class inside some chosen class); fills `why` on
-/// failure.  Exposed for tests.
-[[nodiscard]] bool is_closed_cover(const flowtable::FlowTable& table,
-                                   const std::vector<StateSet>& classes,
-                                   std::string* why = nullptr);
 
 namespace detail {
 

@@ -1,5 +1,8 @@
 #include "search/search.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace seance::search {
 namespace {
 
@@ -51,14 +54,22 @@ std::uint64_t hash_mix(std::uint64_t a, std::uint64_t b) {
 }
 
 std::size_t TranspositionTable::slot_count_for(std::size_t bytes) {
+  // "The doubled table still fits", divided rather than multiplied:
+  // `slots * 2 * sizeof(Slot)` wraps to 0 for `bytes` near SIZE_MAX.
   std::size_t slots = kProbeWindow;
-  while (slots * 2 * sizeof(Slot) <= bytes) slots *= 2;
+  while (slots <= bytes / (2 * sizeof(Slot))) slots *= 2;
   return slots;
 }
 
 TranspositionTable::TranspositionTable(std::size_t bytes) {
   const std::size_t slots = slot_count_for(bytes);
-  slots_.assign(slots, Slot{});
+  try {
+    slots_.assign(slots, Slot{});
+  } catch (const std::exception&) {  // std::bad_alloc, std::length_error
+    throw std::runtime_error("transposition table: cannot allocate " +
+                             std::to_string((slots * sizeof(Slot)) >> 20) +
+                             " MiB");
+  }
   mask_ = slots - 1;
 }
 

@@ -60,8 +60,9 @@ constexpr bool has_upper(Bound b) {
           static_cast<std::uint8_t>(Bound::kUpper)) != 0;
 }
 
-/// FNV-1a over raw bytes. Kept local to this module: the search core
-/// sits below every other library, so it cannot borrow api's copy.
+/// FNV-1a 64 over raw bytes — the repo's one copy. The search core sits
+/// below every other library, so api's content fingerprints and cache
+/// entry names and fleet's LPT rotation and lease nonces hash here too.
 std::uint64_t fnv64(const void* data, std::size_t len);
 
 /// FNV-1a over a packed word array (the natural signature input for
@@ -105,7 +106,9 @@ class TranspositionTable {
   /// Sizes the table to the largest power-of-two slot count that fits
   /// in `bytes` (minimum one probe window). `bytes == 0` is allowed
   /// and yields a table that still works but thrashes; callers gate
-  /// "off" by passing a null pointer instead.
+  /// "off" by passing a null pointer instead. Throws
+  /// std::runtime_error naming the size when the slots cannot be
+  /// allocated.
   explicit TranspositionTable(std::size_t bytes);
 
   /// The slot count the constructor would pick for `bytes` — capacity
@@ -135,7 +138,6 @@ class TranspositionTable {
   void clear();
 
   const TtStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = TtStats{}; }
 
   std::size_t capacity() const { return slots_.size(); }
   std::size_t size() const { return live_; }
@@ -174,7 +176,6 @@ class NodeBudget {
   bool exhausted() const { return nodes_ > budget_; }
   bool exact() const { return nodes_ <= budget_; }
   std::size_t nodes() const { return nodes_; }
-  std::size_t budget() const { return budget_; }
   void reset() { nodes_ = 0; }
 
  private:

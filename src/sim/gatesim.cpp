@@ -124,7 +124,6 @@ bool GateSim::run(Time deadline) {
       n.value = e.input_value;
       n.last_change = e.time;
       ++n.changes;
-      ++events_processed_;
       evaluate_fanout(e.net, e.time);
       continue;
     }
@@ -135,7 +134,6 @@ bool GateSim::run(Time deadline) {
     n.value = n.pending_value;
     n.last_change = e.time;
     ++n.changes;
-    ++events_processed_;
     evaluate_fanout(e.net, e.time);
   }
   return true;

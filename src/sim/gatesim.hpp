@@ -60,9 +60,6 @@ class GateSim {
   void set_gate_delay(int net, Time delay) {
     gate_delay_.at(static_cast<std::size_t>(net)) = delay;
   }
-  [[nodiscard]] Time gate_delay(int net) const {
-    return gate_delay_.at(static_cast<std::size_t>(net));
-  }
 
   [[nodiscard]] bool value(int net) const { return nets_[static_cast<std::size_t>(net)].value; }
   [[nodiscard]] Time now() const { return now_; }
@@ -75,9 +72,6 @@ class GateSim {
     return nets_[static_cast<std::size_t>(net)].changes;
   }
   void reset_counters();
-
-  [[nodiscard]] std::size_t events_processed() const { return events_processed_; }
-
  private:
   struct Net {
     bool value = false;
@@ -115,7 +109,6 @@ class GateSim {
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
   Time now_ = 0;
   std::uint64_t seq_ = 0;
-  std::size_t events_processed_ = 0;
 };
 
 }  // namespace seance::sim

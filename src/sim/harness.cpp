@@ -82,15 +82,11 @@ StepResult FantomHarness::apply_column(int new_column) {
   for (Time& t : offsets) {
     t = options_.max_skew == 0 ? 0 : (rng_() % (options_.max_skew + 1));
   }
-  return run_step(new_column, offsets);
+  return apply_column_with_skew(new_column, offsets);
 }
 
 StepResult FantomHarness::apply_column_with_skew(int new_column,
                                                  const std::vector<Time>& offsets) {
-  return run_step(new_column, offsets);
-}
-
-StepResult FantomHarness::run_step(int new_column, const std::vector<Time>& offsets) {
   StepResult result;
   if (state_ < 0) return result;  // lost state after a failure: caller must reset
   const Entry& entry = machine_.table.entry(state_, new_column);

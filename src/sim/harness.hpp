@@ -68,7 +68,6 @@ class FantomHarness {
   StepResult apply_column_with_skew(int new_column, const std::vector<Time>& offsets);
 
   [[nodiscard]] int current_state() const { return state_; }
-  [[nodiscard]] int current_column() const { return column_; }
   [[nodiscard]] const netlist::Netlist& net() const { return netlist_; }
 
   struct WalkSummary {
@@ -88,8 +87,6 @@ class FantomHarness {
   WalkSummary random_walk(int steps, std::uint64_t seed, bool prefer_mic = true);
 
  private:
-  StepResult run_step(int new_column, const std::vector<Time>& offsets);
-
   const core::FantomMachine& machine_;
   HarnessOptions options_;
   // nets_ must be constructed before netlist_: the netlist builder fills

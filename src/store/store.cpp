@@ -14,19 +14,6 @@ namespace {
 
 constexpr const char* kMagic = "# seance-store v";
 
-// Same RFC-4180 quoting as the driver's CSV writer (names are arbitrary
-// file paths); kept local since the driver's copy is file-static.
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\r\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 [[noreturn]] void fail(std::size_t line_no, const std::string& why) {
   throw std::runtime_error("store: line " + std::to_string(line_no + 1) +
                            ": " + why);
@@ -137,19 +124,19 @@ std::string describe(const core::SynthesisOptions& options) {
   return core::options_to_string(options);
 }
 
-std::string describe(const driver::BatchOptions& options) {
+std::string describe(const driver::Checks& checks) {
   // Statuses depend on which checks ran and how strictly; a diff between
   // runs with different check sets must warn, not report status drift.
   std::string s;
   s += "verify=";
-  s += options.verify ? '1' : '0';
+  s += checks.verify ? '1' : '0';
   s += " ternary=";
-  s += options.ternary ? '1' : '0';
+  s += checks.ternary ? '1' : '0';
   s += " gate=";
-  s += options.gate_ternary ? '1' : '0';
+  s += checks.gate_ternary ? '1' : '0';
   s += " strict=";
-  s += options.ternary_strict ? '1' : '0';
-  s += " timeout-ms=" + driver::format_fixed(options.job_timeout_ms, 0);
+  s += checks.ternary_strict ? '1' : '0';
+  s += " timeout-ms=" + driver::format_fixed(checks.job_timeout_ms, 0);
   return s;
 }
 
@@ -524,7 +511,7 @@ std::string DiffReport::to_csv() const {
   const auto row = [&](const std::string& name, DeltaKind kind,
                        const std::string& metric, const std::string& base,
                        const std::string& cur, const std::string& delta) {
-    out += csv_escape(name);
+    out += driver::csv_escape(name);
     out += ',';
     out += to_string(kind);
     out += ',' + metric + ',' + base + ',' + cur + ',' + delta + '\n';

@@ -42,12 +42,12 @@ inline constexpr int kSchemaVersion = 3;
 
 /// Canonical one-line spellings used in the metadata header.  Two runs
 /// with equal strings ran the same pipeline configuration.  The
-/// BatchOptions overload covers only the result-affecting knobs (checks,
-/// strictness, timeout budget) — thread count and progress plumbing
+/// driver::Checks overload spells the check set (checks, strictness,
+/// timeout budget) — a BatchOptions' thread count and progress plumbing
 /// cannot change a report by the determinism contract.
 [[nodiscard]] std::string describe(const core::SynthesisOptions& options);
 [[nodiscard]] std::string describe(const bench_suite::GeneratorOptions& options);
-[[nodiscard]] std::string describe(const driver::BatchOptions& options);
+[[nodiscard]] std::string describe(const driver::Checks& checks);
 
 /// What produced a report — enough to tell whether two stored reports are
 /// comparable at all.  Free-form strings compare byte-wise in diff().
@@ -55,7 +55,7 @@ struct CorpusIdentity {
   int schema_version = kSchemaVersion;
   std::uint64_t base_seed = 1;
   std::string corpus;     ///< composition, e.g. "table1+extra+gen200"
-  std::string checks;     ///< describe(BatchOptions)
+  std::string checks;     ///< describe(Checks)
   std::string synthesis;  ///< describe(SynthesisOptions)
   std::string generator;  ///< describe(GeneratorOptions)
   /// "i/K" when this report covers slice i of a K-way sharded run

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "api/cache.hpp"
 #include "bench_suite/benchmarks.hpp"
@@ -127,6 +128,19 @@ TEST(OptionsCodec, RejectsBadInput) {
                std::runtime_error);
   EXPECT_THROW((void)core::options_from_string("v3 tt=maybe"),
                std::runtime_error);
+  // Budgets are digits only (strtoull would turn "-1" into 2^64-1) and
+  // tt-mb stops at its ceiling, which itself parses.
+  for (const std::string& text : std::vector<std::string>{
+           "v3 tt-mb=-1", "v3 tt-mb=+16", "v3 cover-budget=-5",
+           "v3 reduce-budget=99999999999999999999",
+           "v3 tt-mb=" + std::to_string(core::kMaxTtMb + 1)}) {
+    EXPECT_THROW((void)core::options_from_string(text), std::runtime_error)
+        << text;
+  }
+  EXPECT_EQ(core::options_from_string("v3 tt-mb=" +
+                                      std::to_string(core::kMaxTtMb))
+                .tt_mb,
+            core::kMaxTtMb);
 }
 
 // ---- cache keys ----------------------------------------------------------

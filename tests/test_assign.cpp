@@ -8,6 +8,7 @@
 #include "bench_suite/benchmarks.hpp"
 #include "bench_suite/generator.hpp"
 #include "flowtable/table.hpp"
+#include "oracles/checks.hpp"
 #include "oracles/ustt_reference.hpp"
 
 namespace seance::assign {

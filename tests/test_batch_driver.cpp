@@ -353,14 +353,18 @@ TEST(RunWithDeadline, SlowBodyTimesOutDeterministically) {
 }
 
 TEST(RunWithDeadline, FastBodyPassesThroughUntouched) {
-  const JobResult r = run_with_deadline("quick", 60'000.0, [] {
-    JobResult inner;
-    inner.name = "quick";
-    inner.gate_count = 7;
-    return inner;
-  });
-  EXPECT_EQ(r.status, JobStatus::kOk);
-  EXPECT_EQ(r.gate_count, 7);
+  // 1e300 ms is a finite --timeout; unclamped, wait_for's cast of it to
+  // integer nanoseconds overflows (undefined behaviour).
+  for (const double budget : {60'000.0, 1e300}) {
+    const JobResult r = run_with_deadline("quick", budget, [] {
+      JobResult inner;
+      inner.name = "quick";
+      inner.gate_count = 7;
+      return inner;
+    });
+    EXPECT_EQ(r.status, JobStatus::kOk);
+    EXPECT_EQ(r.gate_count, 7);
+  }
 }
 
 TEST(RunWithDeadline, ThrowingBodyIsASynthesisError) {
@@ -391,6 +395,19 @@ TEST(BatchRunner, TimeoutStatusCountsAsFailureAndKeepsTableShape) {
   timed.jobs.push_back(t);
   EXPECT_EQ(timed.failed_count(), 1);
   EXPECT_FALSE(timed.all_ok());
+}
+
+TEST(BatchRunner, DeadlineTimeoutRowKeepsTableShape) {
+  // A hardest-shape job runs for most of a second; 1 ms cannot fit it.
+  const JobSpec spec("slow", bench_suite::generate(kHardestShape));
+  Checks checks;
+  checks.job_timeout_ms = 1.0;
+  const JobResult r = BatchRunner::run_job_with_deadline(spec, checks);
+  ASSERT_EQ(r.status, JobStatus::kTimeout) << r.detail;
+  EXPECT_EQ(r.name, "slow");
+  EXPECT_EQ(r.num_inputs, spec.table.num_inputs());
+  EXPECT_EQ(r.num_outputs, spec.table.num_outputs());
+  EXPECT_EQ(r.input_states, spec.table.num_states());
 }
 
 TEST(BatchRunner, TimeoutPathPreservesThreadCountInvariance) {

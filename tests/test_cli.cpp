@@ -48,6 +48,36 @@ TEST(SingleTableCli, VerifyGateTernaryPrintsPinnedVerdictLines) {
       << r.out;
 }
 
+// Numbers that used to wrap, narrow or slip through (`--shards
+// 4294967297` ran one shard, `--tt-mb -1` hung sizing the table,
+// `--cache-mem-mb inf` reached an undefined float-to-integer cast,
+// `--timeout nan` silently disabled the watchdog) exit 1 with the
+// parser's message before any work starts.
+class HostileNumberCli : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(HostileNumberCli, ExitsOneWithNeedsANumber) {
+  const std::string args = GetParam();
+  const CommandOutput r =
+      run_capture("'" SEANCE_CLI_PATH "' " + args + " < /dev/null");
+  EXPECT_EQ(r.exit_code, 1) << r.out;
+  const std::string flag = args.substr(args.find("--"));
+  const std::string name = flag.substr(0, flag.find(' '));
+  const std::string value = flag.substr(flag.find(' ') + 1);
+  EXPECT_NE(r.out.find("option " + name + " needs a number, got '" + value +
+                       "'"),
+            std::string::npos)
+      << r.out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Flags, HostileNumberCli,
+    ::testing::Values("batch --tt-mb -1", "batch --tt-mb 65537",
+                      "batch --shards 4294967297", "batch --random 4294967296",
+                      "batch --seed -1", "batch --timeout nan",
+                      "baseline --jobs 99999999999999999999",
+                      "serve --cache-mem-mb inf", "serve --cache-mem-mb 1e300",
+                      "lion --tt-mb -1"));
+
 }  // namespace
 
 #endif

@@ -6,6 +6,7 @@
 #include "flowtable/table.hpp"
 #include "hazard/factor.hpp"
 #include "logic/qm.hpp"
+#include "oracles/checks.hpp"
 
 namespace seance::hazard {
 namespace {
@@ -48,22 +49,6 @@ struct Fixture {
   }
 };
 
-TEST(HazardSearch, NotInvariantFlagsDisturbedBit) {
-  const Fixture f(/*disturb=*/true);
-  // Transition s0 (00) -> s1 under column 11; intermediate column 10
-  // (= 0b01 as a column index: x0=1, x1=0).
-  const auto vars = notinvariant(f.encoded, 0, 1, 0b01);
-  // codes: s0=00, s1=01 -> bit 0 changes, bit 1 invariant.  Intermediate
-  // leads to s2 (11), which flips bit 1 -> hazard on variable 1.
-  ASSERT_EQ(vars.size(), 1u);
-  EXPECT_EQ(vars[0], 1);
-}
-
-TEST(HazardSearch, NotInvariantCleanWhenIntermediateHolds) {
-  const Fixture f(/*disturb=*/false);
-  EXPECT_TRUE(notinvariant(f.encoded, 0, 1, 0b01).empty());
-}
-
 TEST(HazardSearch, FindHazardsCollectsLists) {
   const Fixture f(/*disturb=*/true);
   const HazardLists lists = find_hazards(f.encoded);
@@ -86,19 +71,6 @@ TEST(HazardSearch, NullTableThrowsBeforeAnyAccess) {
   encoded.table = nullptr;
   encoded.num_state_vars = 2;
   EXPECT_THROW((void)find_hazards(encoded), std::invalid_argument);
-}
-
-TEST(HazardSearch, NotInvariantMaskAgreesWithList) {
-  const Fixture f(/*disturb=*/true);
-  const std::uint32_t mask = notinvariant_mask(f.encoded, 0, 1, 0b01);
-  EXPECT_EQ(mask, 0b10u);  // variable 1 disturbed, variable 0 free to move
-  const auto vars = notinvariant(f.encoded, 0, 1, 0b01);
-  std::uint32_t rebuilt = 0;
-  for (int n : vars) rebuilt |= 1u << n;
-  EXPECT_EQ(rebuilt, mask);
-  // Clean variant: both forms agree on "nothing disturbed".
-  const Fixture clean(/*disturb=*/false);
-  EXPECT_EQ(notinvariant_mask(clean.encoded, 0, 1, 0b01), 0u);
 }
 
 TEST(HazardSearch, CleanTableHasEmptyLists) {

@@ -12,6 +12,7 @@
 #include "driver/batch.hpp"
 #include "logic/qm.hpp"
 #include "logic/ternary.hpp"
+#include "oracles/checks.hpp"
 #include "sim/ternary_verify.hpp"
 
 namespace seance {
@@ -40,10 +41,10 @@ TEST(ConsensusRepair, PreservesTheFunction) {
     for (Minterm m = 0; m < 64; ++m) {
       if (rng() % 3 == 0) on.push_back(m);
     }
-    Cover cover = logic::minimize_sop(6, on, {});
-    const auto before = cover.on_set();
+    Cover cover = logic::select_cover(6, on, {}, logic::CoverMode::kEssentialSop);
+    const auto before = logic::on_set(cover);
     (void)logic::make_sic_static1_hazard_free(cover);
-    EXPECT_EQ(cover.on_set(), before) << "seed " << seed;
+    EXPECT_EQ(logic::on_set(cover), before) << "seed " << seed;
     EXPECT_TRUE(logic::sic_static1_hazard_free(cover));
   }
 }

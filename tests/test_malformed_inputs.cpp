@@ -104,7 +104,10 @@ TEST(MalformedKiss, ConflictingNextStates) {
 }
 
 TEST(MalformedKiss, BinaryGarbageThrowsCleanly) {
-  const std::string garbage("\x01\x02\xff\xfe zz\n\x00.i\n", 14);
+  // 12 bytes with an embedded NUL: the length comes from the array so it
+  // stays inside the literal.
+  static constexpr char kGarbage[] = "\x01\x02\xff\xfe zz\n\x00.i\n";
+  const std::string garbage(kGarbage, sizeof kGarbage - 1);
   const std::string msg = parse_error(garbage);
   EXPECT_FALSE(msg.empty()) << "binary garbage parsed without error";
 }

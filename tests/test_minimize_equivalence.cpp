@@ -14,6 +14,7 @@
 
 #include "bench_suite/generator.hpp"
 #include "minimize/reduce.hpp"
+#include "oracles/checks.hpp"
 #include "oracles/reduce_reference.hpp"
 
 namespace seance::minimize {

@@ -18,6 +18,7 @@
 
 #include "logic/absorb_index.hpp"
 #include "logic/qm.hpp"
+#include "oracles/checks.hpp"
 #include "oracles/qm_reference.hpp"
 #include "testutil.hpp"
 

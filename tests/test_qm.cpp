@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "logic/prime_engine.hpp"
+#include "oracles/checks.hpp"
 #include "testutil.hpp"
 
 namespace seance::logic {
@@ -15,29 +17,29 @@ TEST(Qm, TextbookFourVariable) {
   // f = Σm(4,8,10,11,12,15) + d(9,14): the classic QM example.
   const std::vector<Minterm> on = {4, 8, 10, 11, 12, 15};
   const std::vector<Minterm> dc = {9, 14};
-  const Cover cover = minimize_sop(4, on, dc);
-  EXPECT_TRUE(cover.equals_function(on, dc));
+  const Cover cover = select_cover(4, on, dc, CoverMode::kEssentialSop);
+  EXPECT_TRUE(equals_function(cover, on, dc));
   // Known minimal solution has 3 product terms.
   EXPECT_EQ(cover.size(), 3u);
 }
 
 TEST(Qm, SingleMinterm) {
   const std::vector<Minterm> on = {5};
-  const Cover cover = minimize_sop(3, on, {});
+  const Cover cover = select_cover(3, on, {}, CoverMode::kEssentialSop);
   EXPECT_EQ(cover.size(), 1u);
-  EXPECT_TRUE(cover.equals_function(on, {}));
+  EXPECT_TRUE(equals_function(cover, on, {}));
 }
 
 TEST(Qm, TautologyCollapsesToUniversalCube) {
   std::vector<Minterm> on;
   for (Minterm m = 0; m < 16; ++m) on.push_back(m);
-  const Cover cover = minimize_sop(4, on, {});
+  const Cover cover = select_cover(4, on, {}, CoverMode::kEssentialSop);
   ASSERT_EQ(cover.size(), 1u);
   EXPECT_EQ(cover.cubes()[0].literal_count(), 0);
 }
 
 TEST(Qm, EmptyOnSetGivesEmptyCover) {
-  const Cover cover = minimize_sop(3, {}, {});
+  const Cover cover = select_cover(3, {}, {}, CoverMode::kEssentialSop);
   EXPECT_TRUE(cover.empty());
 }
 
@@ -45,7 +47,7 @@ TEST(Qm, DontCaresEnlargePrimes) {
   // on = {0}, dc = {1}: prime can drop variable 0.
   const std::vector<Minterm> on = {0};
   const std::vector<Minterm> dc = {1};
-  const Cover cover = minimize_sop(1, on, dc);
+  const Cover cover = select_cover(1, on, dc, CoverMode::kEssentialSop);
   ASSERT_EQ(cover.size(), 1u);
   EXPECT_EQ(cover.cubes()[0].literal_count(), 0);
 }
@@ -53,15 +55,15 @@ TEST(Qm, DontCaresEnlargePrimes) {
 TEST(Qm, XorNeedsAllMinterms) {
   // XOR has no mergeable adjacent minterms: cover = the minterms.
   const std::vector<Minterm> on = {0b01, 0b10};
-  const Cover cover = minimize_sop(2, on, {});
+  const Cover cover = select_cover(2, on, {}, CoverMode::kEssentialSop);
   EXPECT_EQ(cover.size(), 2u);
-  EXPECT_TRUE(cover.equals_function(on, {}));
+  EXPECT_TRUE(equals_function(cover, on, {}));
 }
 
 TEST(Qm, AllPrimesOfXor3) {
   // 3-input XOR: every ON minterm is its own prime.
   const std::vector<Minterm> on = {0b001, 0b010, 0b100, 0b111};
-  const std::vector<Cube> primes = compute_primes(3, on, {});
+  const std::vector<Cube> primes = prime_engine::compute_primes(3, on, {});
   EXPECT_EQ(primes.size(), 4u);
   for (const Cube& p : primes) EXPECT_EQ(p.literal_count(), 3);
 }
@@ -73,13 +75,13 @@ TEST(Qm, PrimesOfConsensusFunction) {
     const bool x0 = m & 1, x1 = m & 2, x2 = m & 4;
     if ((x0 && x1) || (!x0 && x2)) on.push_back(m);
   }
-  const std::vector<Cube> primes = compute_primes(3, on, {});
+  const std::vector<Cube> primes = prime_engine::compute_primes(3, on, {});
   EXPECT_EQ(primes.size(), 3u);
   const Cover all = all_primes_cover(3, on, {});
   EXPECT_EQ(all.size(), 3u);
-  EXPECT_TRUE(all.equals_function(on, {}));
+  EXPECT_TRUE(equals_function(all, on, {}));
   // Essential cover drops the consensus term.
-  const Cover essential = minimize_sop(3, on, {});
+  const Cover essential = select_cover(3, on, {}, CoverMode::kEssentialSop);
   EXPECT_EQ(essential.size(), 2u);
 }
 
@@ -89,7 +91,7 @@ TEST(Qm, IsPrimeImplicantAgrees) {
     const bool x0 = m & 1, x1 = m & 2, x2 = m & 4;
     if ((x0 && x1) || (!x0 && x2)) on.push_back(m);
   }
-  for (const Cube& p : compute_primes(3, on, {})) {
+  for (const Cube& p : prime_engine::compute_primes(3, on, {})) {
     EXPECT_TRUE(is_prime_implicant(p, 3, on, {})) << p.to_string();
   }
   // A strict sub-cube of a prime is not prime.
@@ -120,7 +122,7 @@ TEST(Qm, TinyNodeBudgetStillYieldsValidCovers) {
     CoverStats stats;
     const Cover cover = select_cover(6, f.on, f.dc, CoverMode::kEssentialSop,
                                      &stats, budget);
-    EXPECT_TRUE(cover.equals_function(f.on, f.dc)) << "budget " << budget;
+    EXPECT_TRUE(equals_function(cover, f.on, f.dc)) << "budget " << budget;
     EXPECT_GE(cover.size(), full.size()) << "budget " << budget;
     if (cover.size() > full.size()) {
       EXPECT_FALSE(stats.exact) << "budget " << budget;
@@ -140,8 +142,8 @@ class QmRandom : public ::testing::TestWithParam<QmRandomCase> {};
 TEST_P(QmRandom, EssentialCoverMatchesFunction) {
   const auto& p = GetParam();
   const auto f = random_function(p.num_vars, p.p_on, p.p_dc, p.seed);
-  const Cover cover = minimize_sop(p.num_vars, f.on, f.dc);
-  EXPECT_TRUE(cover.equals_function(f.on, f.dc));
+  const Cover cover = select_cover(p.num_vars, f.on, f.dc, CoverMode::kEssentialSop);
+  EXPECT_TRUE(equals_function(cover, f.on, f.dc));
   EXPECT_TRUE(is_irredundant(cover, f.on));
 }
 
@@ -149,7 +151,7 @@ TEST_P(QmRandom, AllPrimesCoverMatchesFunctionAndIsComplete) {
   const auto& p = GetParam();
   const auto f = random_function(p.num_vars, p.p_on, p.p_dc, p.seed);
   const Cover cover = all_primes_cover(p.num_vars, f.on, f.dc);
-  EXPECT_TRUE(cover.equals_function(f.on, f.dc));
+  EXPECT_TRUE(equals_function(cover, f.on, f.dc));
   for (const Cube& c : cover.cubes()) {
     EXPECT_TRUE(is_prime_implicant(c, p.num_vars, f.on, f.dc)) << c.to_string();
   }
@@ -158,7 +160,7 @@ TEST_P(QmRandom, AllPrimesCoverMatchesFunctionAndIsComplete) {
 TEST_P(QmRandom, EveryPrimeIsPrimeAndEveryOnMintermCovered) {
   const auto& p = GetParam();
   const auto f = random_function(p.num_vars, p.p_on, p.p_dc, p.seed);
-  const std::vector<Cube> primes = compute_primes(p.num_vars, f.on, f.dc);
+  const std::vector<Cube> primes = prime_engine::compute_primes(p.num_vars, f.on, f.dc);
   for (const Cube& c : primes) {
     EXPECT_TRUE(is_prime_implicant(c, p.num_vars, f.on, f.dc)) << c.to_string();
   }
@@ -188,8 +190,8 @@ TEST_P(QmExactMinimality, BranchAndBoundBeatsNothingSmaller) {
   // Brute-force minimal cover cardinality over primes for small functions
   // and compare with the solver's result.
   const auto f = random_function(4, 0.4, 0.1, GetParam());
-  const std::vector<Cube> primes = compute_primes(4, f.on, f.dc);
-  const Cover cover = minimize_sop(4, f.on, f.dc);
+  const std::vector<Cube> primes = prime_engine::compute_primes(4, f.on, f.dc);
+  const Cover cover = select_cover(4, f.on, f.dc, CoverMode::kEssentialSop);
   if (f.on.empty()) {
     EXPECT_TRUE(cover.empty());
     return;

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -26,7 +29,6 @@ TEST(NodeBudget, ChargesOncePerNodeAndTruncatesPastTheBudget) {
   EXPECT_TRUE(b.exhausted());
   EXPECT_FALSE(b.exact());
   EXPECT_EQ(b.nodes(), 4u);
-  EXPECT_EQ(b.budget(), 3u);
 }
 
 TEST(NodeBudget, ZeroBudgetTruncatesOnTheFirstCharge) {
@@ -238,17 +240,6 @@ TEST(TranspositionTable, DumpReturnsEveryLiveEntry) {
   EXPECT_TRUE(saw33);
 }
 
-TEST(TranspositionTable, ResetStatsKeepsEntries) {
-  TranspositionTable tt(1 << 16);
-  tt.store(5, Bound::kExact, 1);
-  ASSERT_TRUE(tt.probe(5).has_value());
-  tt.reset_stats();
-  EXPECT_EQ(tt.stats().hits, 0u);
-  EXPECT_EQ(tt.stats().stores, 0u);
-  EXPECT_EQ(tt.size(), 1u);
-  EXPECT_TRUE(tt.probe(5).has_value());  // entries survive the reset
-}
-
 TEST(TranspositionTable, ClearDropsEntriesKeepsCapacityAndStats) {
   TranspositionTable tt(1 << 16);
   tt.store(5, Bound::kExact, 1);
@@ -282,6 +273,30 @@ TEST(TranspositionTable, SlotCountForMatchesTheConstructor) {
   // check in core::synthesize depends on this being discriminating).
   EXPECT_NE(TranspositionTable::slot_count_for(1 << 16),
             TranspositionTable::slot_count_for(16 << 20));
+}
+
+TEST(TranspositionTable, SlotCountForSaturatesInsteadOfHanging) {
+  // Sizing used to multiply: near SIZE_MAX the product wrapped to 0 and
+  // the doubling loop never ended.
+  const std::size_t max = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(TranspositionTable::slot_count_for(max), std::size_t{1} << 59);
+  EXPECT_EQ(TranspositionTable::slot_count_for(max << 20),
+            std::size_t{1} << 59);
+  EXPECT_EQ(TranspositionTable::slot_count_for(std::size_t{16} << 20),
+            std::size_t{1} << 20);
+}
+
+TEST(TranspositionTable, UnallocatableSizeIsAClearError) {
+  // 2^59 slots exceed the vector's max_size, so this fails before any
+  // allocation is attempted.
+  try {
+    const TranspositionTable tt(std::numeric_limits<std::size_t>::max());
+    FAIL() << "capacity " << tt.capacity();
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("transposition table: cannot allocate"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TtStats, AccumulateAcrossWorkers) {

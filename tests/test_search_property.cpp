@@ -32,6 +32,7 @@
 #include "flowtable/kiss.hpp"
 #include "logic/cover_engine.hpp"
 #include "minimize/reduce.hpp"
+#include "oracles/checks.hpp"
 #include "search/search.hpp"
 
 namespace seance {

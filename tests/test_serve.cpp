@@ -124,14 +124,16 @@ TEST(Serve, MalformedInputGetsErrAndTheLoopSurvives) {
       "BOGUS\n"                            // unknown verb
       "REQ\n"                              // missing name: unknown verb too
       "REQ x\nOPT v9 nope\n"               // bad options encoding
+      "REQ w\nOPT v3 tt-mb=-1\n"           // signed budget
+      "REQ v\nOPT v3 tt-mb=65537\n"        // past the tt-mb ceiling
       "REQ y\nTABLE zero\n"                // bad table count
       + request_of("ok", example_kiss())   // still serving after the ERRs
       + "REQ z\nTABLE 2\n.i 1\n",          // truncated: EOF inside TABLE
       nullptr, &stats);
   int errs = 0;
   for (const auto& line : lines) errs += (line.substr(0, 4) == "ERR ");
-  EXPECT_EQ(errs, 5);
-  EXPECT_EQ(stats.errors, 5u);
+  EXPECT_EQ(errs, 7);
+  EXPECT_EQ(stats.errors, 7u);
   EXPECT_EQ(stats.requests, 1u);
   ASSERT_GE(lines.size(), 5u);
   EXPECT_EQ(lines[lines.size() - 5], "RES uncached ok");

@@ -7,6 +7,7 @@
 #include "bench_suite/benchmarks.hpp"
 #include "bench_suite/generator.hpp"
 #include "logic/ternary.hpp"
+#include "oracles/checks.hpp"
 
 namespace seance::core {
 namespace {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "logic/qm.hpp"
+#include "oracles/checks.hpp"
 #include "testutil.hpp"
 
 namespace seance::logic {

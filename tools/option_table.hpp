@@ -10,6 +10,7 @@
 //   * unknown option        ->  "unknown <cmd> option --x"
 //   * missing value         ->  "option --x requires a value"
 //   * non-numeric value     ->  "option --x needs a number, got 'v'"
+//     (also out of range, non-finite, or signed for an unsigned flag)
 //   * --help                ->  the generated table, kHelp (exit 0)
 //
 // Hidden entries (the shard worker protocol) parse normally but stay out
@@ -20,10 +21,12 @@
 #pragma once
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -82,29 +85,36 @@ class OptionTable {
                });
   }
 
+  /// Numeric option.  The whole value must parse and land in T's range
+  /// (no overflow, no narrowing, no sign for an unsigned T, nothing
+  /// non-finite) and at most `max`; anything else is a "needs a number"
+  /// error.
   template <typename T>
   OptionTable& number(const std::string& name, std::string placeholder,
-                      std::string help, T* out) {
+                      std::string help, T* out,
+                      std::type_identity_t<T> max =
+                          std::numeric_limits<T>::max()) {
     static_assert(std::is_arithmetic_v<T>);
     return add(name, std::move(placeholder), std::move(help),
-               /*takes_value=*/true, [name, out](const std::string& v) {
+               /*takes_value=*/true, [name, out, max](const std::string& v) {
                  char* end = nullptr;
                  errno = 0;
                  if constexpr (std::is_floating_point_v<T>) {
                    const double n = std::strtod(v.c_str(), &end);
-                   if (end == v.c_str() || *end != '\0') {
+                   if (!whole(v, end) || !std::isfinite(n) || n > max) {
                      return bad_number(name, v);
                    }
                    *out = static_cast<T>(n);
                  } else if constexpr (std::is_unsigned_v<T>) {
+                   // strtoull negates a leading '-' into a huge value.
                    const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-                   if (end == v.c_str() || *end != '\0') {
+                   if (!whole(v, end) || v.find('-') != std::string::npos || n > max) {
                      return bad_number(name, v);
                    }
                    *out = static_cast<T>(n);
                  } else {
-                   const long n = std::strtol(v.c_str(), &end, 10);
-                   if (end == v.c_str() || *end != '\0') {
+                   const long long n = std::strtoll(v.c_str(), &end, 10);
+                   if (!whole(v, end) || n < std::numeric_limits<T>::min() || n > max) {
                      return bad_number(name, v);
                    }
                    *out = static_cast<T>(n);
@@ -229,6 +239,11 @@ class OptionTable {
       return placeholder.empty() ? name : name + " " + placeholder;
     }
   };
+
+  /// The strto* call consumed all of `value` without overflowing.
+  static bool whole(const std::string& value, const char* end) {
+    return end != value.c_str() && *end == '\0' && errno != ERANGE;
+  }
 
   static bool bad_number(const std::string& name, const std::string& value) {
     std::printf("option %s needs a number, got '%s'\n", name.c_str(),

@@ -63,6 +63,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -232,7 +233,7 @@ void add_synthesis_options(OptionTable& table,
              "disable search memoization (results identical, searches cold)",
              &options.tt, false);
   table.number("--tt-mb", "N", "transposition-table MiB per worker (default 16)",
-               &options.tt_mb);
+               &options.tt_mb, seance::core::kMaxTtMb);
 }
 
 void add_run_options(OptionTable& table, CorpusFlags& flags) {
@@ -866,14 +867,10 @@ int load_warm_tier(seance::api::ResultCache& cache, const CorpusFlags& flags,
       continue;
     }
     seance::api::SynthesisRequest req;
+    static_cast<seance::driver::Checks&>(req) = flags.options;
     req.name = row.name;
     req.table = it->second->table;
     req.options = it->second->options;
-    req.verify = flags.options.verify;
-    req.ternary = flags.options.ternary;
-    req.ternary_strict = flags.options.ternary_strict;
-    req.gate_ternary = flags.options.gate_ternary;
-    req.timeout_ms = flags.options.job_timeout_ms;
     cache.warm_insert(seance::api::cache_key(req), row);
     ++warmed;
   }
@@ -902,9 +899,11 @@ int run_serve(int argc, char** argv) {
              "on-disk result cache directory (default .seance-cache)",
              &cache_dir);
   table.flag("--no-disk-cache", "disable the on-disk cache tier", &no_disk);
+  // The ceiling keeps the byte count below inside std::size_t.
   table.number("--cache-mem-mb", "N",
                "in-memory LRU budget in MiB; 0 disables (default 64)",
-               &cache_mem_mb);
+               &cache_mem_mb,
+               static_cast<double>(std::numeric_limits<std::size_t>::max() >> 20));
   table.text("--warm", "FILE",
              "pre-warm from a stored report; pass the corpus recipe flags "
              "that produced it",
@@ -938,12 +937,8 @@ int run_serve(int argc, char** argv) {
   cache.warm_seal();
 
   seance::api::ServeConfig config;
+  static_cast<seance::driver::Checks&>(config) = flags.options;
   config.options = flags.options.synthesis;
-  config.verify = flags.options.verify;
-  config.ternary = flags.options.ternary;
-  config.ternary_strict = flags.options.ternary_strict;
-  config.gate_ternary = flags.options.gate_ternary;
-  config.timeout_ms = flags.options.job_timeout_ms;
 
   if (!quiet) {
     std::fprintf(stderr, "serve: disk %s, mem budget %zu bytes, warm %zu\n",
@@ -951,20 +946,20 @@ int run_serve(int argc, char** argv) {
                  cache_config.mem_limit_bytes, cache.stats().warm_entries);
   }
   seance::api::ServeStats stats;
-  if (!socket_path.empty()) {
+  try {  // socket errors, or a server table that cannot be allocated
+    if (socket_path.empty()) {
+      stats = seance::api::serve(std::cin, std::cout, config, &cache);
+    } else {
 #if defined(__unix__) || defined(__APPLE__)
-    try {
       stats = seance::api::serve_unix_socket(socket_path, config, &cache);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
 #else
-    std::printf("--socket needs unix sockets, unavailable on this platform\n");
-    return 1;
+      std::printf("--socket needs unix sockets, unavailable on this platform\n");
+      return 1;
 #endif
-  } else {
-    stats = seance::api::serve(std::cin, std::cout, config, &cache);
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
   if (!quiet) {
     const auto& c = cache.stats();
