@@ -22,17 +22,25 @@
 //    the default run could not prove either get proven by the headroom
 //    run (gap closes to zero) or keep a *certified* nonzero gap — the
 //    bound is sound either way, which is the point of reporting it.
+//
+// The google-benchmark timings then cover the per-node costs of the
+// exact-cover B&B: `hash_words` on sparse and on dense signature inputs,
+// and one budget-truncated chart replayed at a fixed budget (its node
+// count is asserted, so a timing never comes from a different tree).
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "driver/batch.hpp"
+#include "logic/cover_engine.hpp"
 #include "logic/qm.hpp"
+#include "oracles/charts.hpp"
 #include "search/search.hpp"
 
 namespace {
@@ -241,6 +249,64 @@ void BM_HarderJobMemoOn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HarderJobMemoOn)->Unit(benchmark::kMillisecond);
+
+/// 256 signature inputs of 12 words (the hardest charts' `uncovered`
+/// sets average about 11.4 words).  `sparse` draws what deep nodes
+/// hash: mostly zero words, the rest a few bits; dense words have no
+/// zero byte.
+std::vector<std::uint64_t> signature_inputs(bool sparse) {
+  std::mt19937_64 rng(sparse ? 11 : 12);
+  std::vector<std::uint64_t> words(256 * 12);
+  for (std::uint64_t& w : words) {
+    if (!sparse) {
+      w = rng() | 0x0101010101010101ull;
+    } else if (rng() % 4 == 0) {
+      w = (std::uint64_t{1} << (rng() % 64)) | (std::uint64_t{1} << (rng() % 64));
+    } else {
+      w = 0;
+    }
+  }
+  return words;
+}
+
+void hash_words_bench(benchmark::State& state, bool sparse) {
+  const std::vector<std::uint64_t> words = signature_inputs(sparse);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        seance::search::hash_words(words.data() + i * 12, 12));
+    i = (i + 1) % 256;
+  }
+}
+
+void BM_HashWordsSparse(benchmark::State& state) { hash_words_bench(state, true); }
+BENCHMARK(BM_HashWordsSparse);
+
+void BM_HashWordsDense(benchmark::State& state) { hash_words_bench(state, false); }
+BENCHMARK(BM_HashWordsDense);
+
+/// The seeded truncated chart of test_cover_engine at a 100k-node
+/// budget with the pipeline's 16 MiB table, cleared per solve as
+/// core::synthesize does per job.
+void BM_CoverTruncatedChart(benchmark::State& state) {
+  constexpr std::size_t kBudget = 100'000;
+  const seance::logic::CoverTable chart = seance::logic::banded_chart();
+  TranspositionTable tt(std::size_t{16} << 20);
+  for (auto _ : state) {
+    tt.clear();
+    const seance::logic::MinCoverResult r =
+        seance::logic::solve_min_cover(chart, kBudget, &tt);
+    if (r.nodes != kBudget + 1 || r.exact) {
+      std::fprintf(stderr, "FATAL: truncated chart took %zu nodes (exact %d)\n",
+                   r.nodes, r.exact ? 1 : 0);
+      std::abort();
+    }
+    benchmark::DoNotOptimize(r.columns.data());
+  }
+  state.counters["nodes/s"] = benchmark::Counter(
+      static_cast<double>(kBudget + 1), benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_CoverTruncatedChart)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -16,7 +16,9 @@ namespace {
 /// Statuses that are a pure function of the request — the only ones a
 /// content-addressed cache may remember.  Timeouts depend on machine
 /// speed and crashes on process fate; caching either would replay a
-/// transient verdict forever.
+/// transient verdict forever.  A synthesis error whose table could not
+/// be allocated is host-dependent too; run_job marks that row
+/// `cacheable = false`.
 bool cacheable_status(driver::JobStatus status) {
   switch (status) {
     case driver::JobStatus::kOk:
@@ -130,7 +132,8 @@ SynthesisResponse synthesize(const SynthesisRequest& request,
       response.machine = std::move(machine);
     }
   }
-  if (cacheable && cacheable_status(response.row.status)) {
+  if (cacheable && response.row.cacheable &&
+      cacheable_status(response.row.status)) {
     cache->insert(key, response.row);
   }
   return response;

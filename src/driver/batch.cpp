@@ -412,6 +412,10 @@ JobResult BatchRunner::run_job(const JobSpec& spec, const Checks& checks,
     r.cover_cubes = static_cast<int>(machine.cover_bounds.cubes);
     r.cover_gap = static_cast<int>(machine.cover_bounds.gap());
     run_checks(machine, checks, r);
+  } catch (const search::TtAllocationError& e) {
+    r.status = JobStatus::kSynthesisError;
+    r.detail = e.what();
+    r.cacheable = false;  // a larger host would synthesize this job
   } catch (const std::exception& e) {
     r.status = JobStatus::kSynthesisError;
     r.detail = e.what();

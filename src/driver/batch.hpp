@@ -122,6 +122,10 @@ struct JobSpec {
 struct JobResult {
   std::string name;
   JobStatus status = JobStatus::kOk;
+  /// False when the verdict depends on the host rather than the spec:
+  /// a synthesis-error row whose transposition table could not be
+  /// allocated.  Caches must not remember such a row.  Not persisted.
+  bool cacheable = true;
   std::string detail;  ///< error / failure reason, empty on success
 
   // Table shape (input side and after reduction).

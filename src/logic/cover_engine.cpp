@@ -34,7 +34,8 @@ class Solver {
         tt_(tt),
         uncovered_(words_, 0),
         col_mask_(col_words_, 0),
-        row_cols_(t.num_rows() * col_words_, 0) {}
+        row_cols_(t.num_rows() * col_words_, 0),
+        child_(words_, 0) {}
 
   MinCoverResult run() {
     MinCoverResult result;
@@ -57,8 +58,12 @@ class Solver {
       return result;
     }
     prepare_residual();
-    if (tt_ != nullptr) root_sig_ = cover_root_signature(t_);
-    recurse(uncovered_count(), 0);
+    std::uint64_t sig = 0;
+    if (tt_ != nullptr) {
+      root_sig_ = cover_root_signature(t_);
+      sig = cover_node_signature(root_sig_, uncovered_.data(), words_);
+    }
+    recurse(uncovered_count(), 0, sig, 0);
     result.nodes = budget_.nodes();
     result.exact = budget_.exact();
     if (have_best_) {
@@ -280,7 +285,13 @@ class Solver {
     root_lb_ = (uncovered_count() + max_col_gain_ - 1) / max_col_gain_;
   }
 
-  void recurse(std::size_t uncovered_count, std::size_t depth) {
+  // `sig` is this node's TT signature (the parent hashed it while
+  // prefetching the slot; unused without a table).  `from` indexes
+  // row_order_: every row before it is covered, since the parent's pick
+  // row is covered by the column it branched on and rows earlier than
+  // that pick were covered already.
+  void recurse(std::size_t uncovered_count, std::size_t depth,
+               std::uint64_t sig, std::size_t from) {
     if (uncovered_count == 0) {
       if (!have_best_ || chosen_.size() < best_.size()) {
         best_ = chosen_;
@@ -289,9 +300,7 @@ class Solver {
       return;
     }
     if (budget_.charge()) return;
-    std::uint64_t sig = 0;
     if (tt_ != nullptr) {
-      sig = cover_node_signature(root_sig_, uncovered_.data(), words_);
       if (const auto e = tt_->probe(sig)) {
         // A certified completion bound that cannot strictly improve the
         // incumbent prunes exactly like the gain bound below.
@@ -306,30 +315,39 @@ class Solver {
       const std::size_t lb = (uncovered_count + max_col_gain_ - 1) / max_col_gain_;
       if (chosen_.size() + lb >= best_.size()) return;
     }
-    std::size_t pick = kNone;
-    for (std::size_t r : row_order_) {
-      if (row_uncovered(r)) {
-        pick = r;
-        break;
+    while (!row_uncovered(row_order_[from])) ++from;  // ends: uncovered_count > 0
+    const std::vector<std::uint32_t>& options = row_col_list_[row_order_[from]];
+    // Child signatures, hashed before the first descent so that each
+    // child's probe finds its slot's cache lines on the way.
+    const std::size_t sig_base = child_sigs_.size();
+    if (tt_ != nullptr) {
+      for (std::uint32_t c : options) {
+        const std::uint64_t* col = t_.column(c);
+        for (std::size_t w = 0; w < words_; ++w) child_[w] = uncovered_[w] & ~col[w];
+        const std::uint64_t child_sig =
+            cover_node_signature(root_sig_, child_.data(), words_);
+        tt_->prefetch(child_sig);
+        child_sigs_.push_back(child_sig);
       }
     }
-    if (pick == kNone) return;  // unreachable: uncovered_count > 0
     const std::size_t best_in = have_best_ ? best_.size() : kNone;
     std::uint64_t* newly = &scratch_[depth * words_];
-    for (std::uint32_t c : row_col_list_[pick]) {
-      const std::uint64_t* col = t_.column(c);
+    for (std::size_t i = 0; i < options.size(); ++i) {
+      const std::uint64_t* col = t_.column(options[i]);
       std::size_t gained = 0;
       for (std::size_t w = 0; w < words_; ++w) {
         newly[w] = col[w] & uncovered_[w];
         gained += static_cast<std::size_t>(std::popcount(newly[w]));
         uncovered_[w] ^= newly[w];
       }
-      chosen_.push_back(c);
-      recurse(uncovered_count - gained, depth + 1);
+      chosen_.push_back(options[i]);
+      recurse(uncovered_count - gained, depth + 1,
+              tt_ != nullptr ? child_sigs_[sig_base + i] : 0, from + 1);
       chosen_.pop_back();
       for (std::size_t w = 0; w < words_; ++w) uncovered_[w] |= newly[w];
       if (budget_.exhausted()) break;
     }
+    child_sigs_.resize(sig_base);
     if (tt_ != nullptr) {
       // Incumbent deltas certify this subtree: every completion pruned
       // inside it had size >= the incumbent of its moment, so a fully
@@ -367,6 +385,8 @@ class Solver {
   std::vector<std::vector<std::uint32_t>> row_col_list_;
   std::vector<std::size_t> row_order_;
   std::vector<std::uint64_t> scratch_;   ///< per-depth newly-covered words
+  std::vector<std::uint64_t> child_;     ///< one child's uncovered words
+  std::vector<std::uint64_t> child_sigs_;  ///< stack of per-node child signatures
   std::size_t max_col_gain_ = 1;
   std::vector<std::size_t> chosen_;
   std::vector<std::size_t> best_;

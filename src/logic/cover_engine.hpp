@@ -89,7 +89,11 @@ struct MinCoverResult {
 /// pruned.  A warm table can change `nodes` but never the returned
 /// columns of a search that completes within budget; with `tt ==
 /// nullptr` the traversal is node-for-node identical to the
-/// memoization-free engine.
+/// memoization-free engine.  With a table, each node hashes its
+/// children's signatures (`cover_node_signature`) right after it picks
+/// the branching row and prefetches their slots, so a child's probe
+/// does not wait on memory; the probes and stores, their order and the
+/// node count are those of a search that hashes at each child.
 [[nodiscard]] MinCoverResult solve_min_cover(
     const CoverTable& table, std::size_t node_budget,
     search::TranspositionTable* tt = nullptr);
@@ -100,7 +104,9 @@ struct MinCoverResult {
 [[nodiscard]] std::uint64_t cover_root_signature(const CoverTable& table);
 
 /// Signature of the subproblem "cover exactly the rows set in
-/// `uncovered` (table.words() packed words) using any columns".
+/// `uncovered` (table.words() packed words) using any columns".  Its
+/// value is result-relevant: it picks the TT home slot, home slots
+/// decide evictions, and evictions steer budget-truncated searches.
 [[nodiscard]] std::uint64_t cover_node_signature(std::uint64_t root_signature,
                                                  const std::uint64_t* uncovered,
                                                  std::size_t words);

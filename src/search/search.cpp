@@ -1,6 +1,7 @@
 #include "search/search.hpp"
 
-#include <stdexcept>
+#include <array>
+#include <bit>
 #include <string>
 
 namespace seance::search {
@@ -8,6 +9,17 @@ namespace {
 
 constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+// kFnvPrimePow[k] == kFnvPrime^k: the FNV-1a step of k zero bytes.
+constexpr std::array<std::uint64_t, 9> kFnvPrimePow = [] {
+  std::array<std::uint64_t, 9> pow{1};
+  for (std::size_t k = 1; k < pow.size(); ++k) pow[k] = pow[k - 1] * kFnvPrime;
+  return pow;
+}();
+
+// `(w - kLowBytes) & ~w & kHighBits` is nonzero iff w has a zero byte.
+constexpr std::uint64_t kLowBytes = 0x0101010101010101ull;
+constexpr std::uint64_t kHighBits = 0x8080808080808080ull;
 
 // Replacement key for an incoming key of 0 (the empty-slot sentinel).
 constexpr std::uint64_t kZeroKey = 0x9e3779b97f4a7c15ull;
@@ -29,16 +41,43 @@ std::uint64_t fnv64(const void* data, std::size_t len) {
 }
 
 std::uint64_t hash_words(const std::uint64_t* words, std::size_t count) {
-  std::uint64_t h = kFnvBasis;
+  // A zero byte's FNV-1a step is a bare `*= prime`, so the state is kept
+  // as (g, m) with hash == g * m: a zero byte multiplies m, off g's
+  // dependency chain, and a nonzero byte b takes g = g * m ^ b, m =
+  // prime.  A dense word then costs the byte loop's eight multiply-xor
+  // steps, a zero word one multiply of m, and a run of zero bytes in a
+  // mixed word one multiply of m.  Before the first nonzero byte m is 1,
+  // but g and m are known at entry, so that multiply runs while the
+  // first word loads instead of lengthening the chain.
+  std::uint64_t g = kFnvBasis;
+  std::uint64_t m = 1;
   for (std::size_t i = 0; i < count; ++i) {
     std::uint64_t w = words[i];
-    for (int b = 0; b < 8; ++b) {
-      h ^= w & 0xff;
-      h *= kFnvPrime;
-      w >>= 8;
+    if (((w - kLowBytes) & ~w & kHighBits) == 0) {  // no zero byte
+      g = (g * m) ^ (w & 0xff);
+#pragma GCC unroll 7
+      for (int b = 1; b < 8; ++b) {
+        w >>= 8;
+        g = (g * kFnvPrime) ^ (w & 0xff);
+      }
+      m = kFnvPrime;
+    } else if (w == 0) {
+      m *= kFnvPrimePow[8];
+    } else {
+      int left = 8;  // bytes of w not yet folded in
+      do {
+        const int zeros = std::countr_zero(w) >> 3;
+        m *= kFnvPrimePow[zeros];
+        w >>= 8 * zeros;
+        g = (g * m) ^ (w & 0xff);
+        m = kFnvPrime;
+        w >>= 8;
+        left -= zeros + 1;
+      } while (w != 0);
+      m *= kFnvPrimePow[left];
     }
   }
-  return h;
+  return g * m;
 }
 
 std::uint64_t hash_u64(std::uint64_t x) {
@@ -66,7 +105,7 @@ TranspositionTable::TranspositionTable(std::size_t bytes) {
   try {
     slots_.assign(slots, Slot{});
   } catch (const std::exception&) {  // std::bad_alloc, std::length_error
-    throw std::runtime_error("transposition table: cannot allocate " +
+    throw TtAllocationError("transposition table: cannot allocate " +
                              std::to_string((slots * sizeof(Slot)) >> 20) +
                              " MiB");
   }
@@ -87,6 +126,17 @@ std::optional<TranspositionTable::Entry> TranspositionTable::probe(
   }
   ++stats_.misses;
   return std::nullopt;
+}
+
+void TranspositionTable::prefetch(std::uint64_t key) const {
+  if (key == 0) key = kZeroKey;
+  const std::size_t home = static_cast<std::size_t>(key & mask_);
+  // With 16-byte slots the window touches two or three cache lines:
+  // fetch the home slot's line and the last slot's (which also covers
+  // a window that wraps at the end).  A middle line is read only by a
+  // probe that walks past the first few slots.
+  __builtin_prefetch(&slots_[home]);
+  __builtin_prefetch(&slots_[(home + kProbeWindow - 1) & mask_]);
 }
 
 void TranspositionTable::store(std::uint64_t key, Bound bound,

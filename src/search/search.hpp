@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -66,7 +67,12 @@ constexpr bool has_upper(Bound b) {
 std::uint64_t fnv64(const void* data, std::size_t len);
 
 /// FNV-1a over a packed word array (the natural signature input for
-/// the engines' bitset state).
+/// the engines' bitset state): equal to `fnv64` over the words' bytes
+/// on a little-endian host, but zero words and zero bytes cost one
+/// multiply per run.  The value is result-relevant, not just a hash:
+/// signatures pick the TT's home slots, home slots decide evictions,
+/// and evictions steer budget-truncated searches, so a different value
+/// moves golden rows.
 std::uint64_t hash_words(const std::uint64_t* words, std::size_t count);
 
 /// Finalizing scramble of a single word (splitmix64 tail). Used to
@@ -76,6 +82,14 @@ std::uint64_t hash_u64(std::uint64_t x);
 
 /// Order-dependent combine of two hashes.
 std::uint64_t hash_mix(std::uint64_t a, std::uint64_t b);
+
+/// The TranspositionTable constructor's error when the slots cannot be
+/// allocated.  Its own type because the failure depends on the host,
+/// not on the request: callers must not remember it as a verdict.
+class TtAllocationError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 struct TtStats {
   std::uint64_t hits = 0;
@@ -107,7 +121,7 @@ class TranspositionTable {
   /// in `bytes` (minimum one probe window). `bytes == 0` is allowed
   /// and yields a table that still works but thrashes; callers gate
   /// "off" by passing a null pointer instead. Throws
-  /// std::runtime_error naming the size when the slots cannot be
+  /// TtAllocationError naming the size when the slots cannot be
   /// allocated.
   explicit TranspositionTable(std::size_t bytes);
 
@@ -120,6 +134,11 @@ class TranspositionTable {
 
   /// Looks up `key`; counts a hit or a miss.
   std::optional<Entry> probe(std::uint64_t key);
+
+  /// Starts loading the cache lines of `key`'s probe window, so a
+  /// probe or store issued a little later does not stall on memory.
+  /// Changes no entry and no stat.
+  void prefetch(std::uint64_t key) const;
 
   /// Inserts or merges an entry for `key`. Merge rules keep the most
   /// informative bound: Exact wins; Lower keeps the max value; Upper

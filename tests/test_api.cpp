@@ -229,6 +229,39 @@ TEST(ApiSynthesize, UnparsableTableIsAJobFailureNotAThrow) {
   EXPECT_FALSE(response.row.detail.empty());
 }
 
+TEST(ApiSynthesize, UnallocatableTableRowIsNotCached) {
+  // A row that failed because this host could not allocate the
+  // transposition table says nothing about the request: a larger host
+  // would synthesize it.  2^60 bytes is beyond any address space, so
+  // the skip below guards the test rather than being a path it takes.
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "ASan aborts on an allocation it cannot serve instead of "
+                  "throwing std::bad_alloc";
+#endif
+  TempDir dir("seance_api_alloc");
+  SynthesisRequest request = example_request();
+  request.options.tt_mb = std::size_t{1} << 40;
+  ResultCache cache(CacheConfig{dir.str(), 1 << 20});
+  const SynthesisResponse first = synthesize(request, &cache);
+  if (first.row.status == driver::JobStatus::kOk) {
+    GTEST_SKIP() << "this host allocated a 2^60-byte table";
+  }
+  EXPECT_EQ(first.row.status, driver::JobStatus::kSynthesisError);
+  EXPECT_NE(first.row.detail.find("transposition table: cannot allocate"),
+            std::string::npos)
+      << first.row.detail;
+  EXPECT_FALSE(first.row.cacheable);
+  EXPECT_EQ(first.cache, CacheDisposition::kMiss);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_FALSE(fs::exists(cache.entry_path(cache_key(request))));
+
+  const SynthesisResponse again = synthesize(request, &cache);
+  EXPECT_EQ(again.cache, CacheDisposition::kMiss);
+  EXPECT_EQ(driver::to_csv_row(again.row), driver::to_csv_row(first.row));
+  ResultCache other_server(CacheConfig{dir.str(), 1 << 20});
+  EXPECT_EQ(synthesize(request, &other_server).cache, CacheDisposition::kMiss);
+}
+
 TEST(ApiSynthesize, EmptyRequestThrows) {
   EXPECT_THROW((void)synthesize(SynthesisRequest{}), std::runtime_error);
 }

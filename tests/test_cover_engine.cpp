@@ -5,6 +5,8 @@
 #include <bit>
 #include <vector>
 
+#include "oracles/charts.hpp"
+
 namespace seance::logic {
 namespace {
 
@@ -201,6 +203,34 @@ TEST(CoverEngine, LazyGreedyMatchesEagerScanExactly) {
     ASSERT_TRUE(lazy.has_value());
     EXPECT_EQ(*lazy, *eager) << "trial " << trial;
   }
+}
+
+// Pins the search tree of a budget-truncated chart with a TT small
+// enough to evict.  The node count, the incumbent, the certified bound
+// and every TT counter are those of an engine that hashes each node on
+// entry; hashing the children in the parent must not move them.
+// Adding, dropping or reordering a
+// probe or a store moves the TT counters (hits and evictions depend on
+// which entries are live at each probe), and a changed signature value
+// moves the home slots and with them the evictions.
+TEST(CoverEngine, TruncatedSearchTreeIsPinned) {
+  const CoverTable t = banded_chart();
+  search::TranspositionTable tt(16 << 10);  // 1024 slots
+  const MinCoverResult r = solve_min_cover(t, 20000, &tt);
+  ASSERT_TRUE(r.found);
+  EXPECT_FALSE(r.exact);
+  EXPECT_TRUE(is_valid_cover(t, r.columns));
+  EXPECT_EQ(r.nodes, 20001u);
+  EXPECT_EQ(r.columns.size(), 94u);
+  EXPECT_EQ(r.lower_bound, 42u);
+  const search::TtStats& s = tt.stats();
+  EXPECT_EQ(s.hits, 5878u);
+  EXPECT_EQ(s.misses, 14122u);
+  EXPECT_EQ(s.stores, 9512u);
+  EXPECT_EQ(s.evictions, 6703u);
+  std::uint64_t column_hash = 0;
+  for (std::size_t c : r.columns) column_hash = column_hash * 31 + c;
+  EXPECT_EQ(column_hash, 4150696040438395053u);
 }
 
 }  // namespace

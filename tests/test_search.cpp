@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -82,6 +84,63 @@ TEST(Hashing, DeterministicAndInputSensitive) {
   // (root, state) from (state, root).
   EXPECT_NE(hash_mix(1, 2), hash_mix(2, 1));
   EXPECT_EQ(hash_mix(1, 2), hash_mix(1, 2));
+}
+
+// Byte-wise FNV-1a over the words' bytes, least significant byte first:
+// the definition hash_words must keep while it skips zeros.
+std::uint64_t reference_hash_words(const std::vector<std::uint64_t>& words) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::uint64_t w : words) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (w >> (8 * b)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(Hashing, HashWordsEqualsByteWiseFnv1a) {
+  std::mt19937_64 rng(20261020);
+  const auto nonzero_byte = [&rng] { return 1 + rng() % 255; };
+  // Each kind of word the engines hash: zero words of sparse bitsets,
+  // lone bytes, alternating zero bytes, dense words and raw noise.
+  const std::vector<std::function<std::uint64_t()>> kinds = {
+      [] { return std::uint64_t{0}; },
+      [&] { return nonzero_byte() << (8 * (rng() % 8)); },
+      [&] {
+        std::uint64_t w = 0;
+        for (int b = static_cast<int>(rng() % 2); b < 8; b += 2) {
+          w |= nonzero_byte() << (8 * b);
+        }
+        return w;
+      },
+      [&] {
+        std::uint64_t w = 0;
+        for (int b = 0; b < 8; ++b) w |= nonzero_byte() << (8 * b);
+        return w;
+      },
+      [&] { return rng(); },
+      [&] { return rng() & rng() & rng(); },
+  };
+  for (std::size_t count = 0; count <= 40; ++count) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<std::uint64_t> words(count);
+      // The last kind index mixes every kind within one array.
+      const std::size_t kind = trial % (kinds.size() + 1);
+      for (std::uint64_t& w : words) {
+        w = kind < kinds.size() ? kinds[kind]() : kinds[rng() % kinds.size()]();
+      }
+      EXPECT_EQ(hash_words(words.data(), count), reference_hash_words(words))
+          << "count " << count << " kind " << kind;
+    }
+  }
+  EXPECT_EQ(hash_words(nullptr, 0), 1469598103934665603ull);
+  const std::uint64_t mixed[] = {0x0123456789abcdefull, 0, 0x00ff000000000000ull,
+                                 0x8000000000000001ull};
+  EXPECT_EQ(hash_words(mixed, 4), 4559267756409137621ull);
+  std::uint64_t sparse[12] = {};
+  sparse[11] = 1;
+  EXPECT_EQ(hash_words(sparse, 12), 875406090521378274ull);
 }
 
 TEST(TranspositionTable, CapacityIsPowerOfTwoWithAProbeWindowFloor) {
@@ -292,11 +351,29 @@ TEST(TranspositionTable, UnallocatableSizeIsAClearError) {
   try {
     const TranspositionTable tt(std::numeric_limits<std::size_t>::max());
     FAIL() << "capacity " << tt.capacity();
-  } catch (const std::runtime_error& e) {
+  } catch (const TtAllocationError& e) {
     EXPECT_NE(std::string(e.what()).find("transposition table: cannot allocate"),
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(TranspositionTable, PrefetchChangesNoEntryAndNoStat) {
+  TranspositionTable tt(1 << 10);
+  for (std::uint64_t k = 1; k <= 40; ++k) tt.store(k * 0x9e3779b9ull, Bound::kLower, 3);
+  ASSERT_TRUE(tt.probe(0x9e3779b9ull).has_value());
+  EXPECT_FALSE(tt.probe(7).has_value());
+  const TtStats before = tt.stats();
+  const auto entries = tt.dump();
+  for (std::uint64_t k = 0; k <= 100; ++k) tt.prefetch(k * 0x9e3779b9ull);
+  tt.prefetch(0);
+  const TtStats& after = tt.stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.stores, before.stores);
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(tt.dump(), entries);
+  EXPECT_EQ(tt.size(), entries.size());
 }
 
 TEST(TtStats, AccumulateAcrossWorkers) {
