@@ -24,9 +24,9 @@
 //    bound is sound either way, which is the point of reporting it.
 //
 // The google-benchmark timings then cover the per-node costs of the
-// exact-cover B&B: `hash_words` on sparse and on dense signature inputs,
-// and one budget-truncated chart replayed at a fixed budget (its node
-// count is asserted, so a timing never comes from a different tree).
+// exact-cover B&B: `hash_words` on sparse, dense and scattered signature
+// inputs, and one budget-truncated chart replayed at a fixed budget (its
+// node count is asserted, so a timing never comes from a different tree).
 
 #include <benchmark/benchmark.h>
 
@@ -250,16 +250,21 @@ void BM_HarderJobMemoOn(benchmark::State& state) {
 }
 BENCHMARK(BM_HarderJobMemoOn)->Unit(benchmark::kMillisecond);
 
+enum class Words { kSparse, kDense, kScattered };
+
 /// 256 signature inputs of 12 words (the hardest charts' `uncovered`
-/// sets average about 11.4 words).  `sparse` draws what deep nodes
+/// sets average about 11.4 words).  Sparse words are what deep nodes
 /// hash: mostly zero words, the rest a few bits; dense words have no
-/// zero byte.
-std::vector<std::uint64_t> signature_inputs(bool sparse) {
-  std::mt19937_64 rng(sparse ? 11 : 12);
+/// zero byte; scattered words (`rng() & rng() & rng()`) have about five
+/// nonzero bytes among zero ones, as half-covered dense rows would.
+std::vector<std::uint64_t> signature_inputs(Words kind) {
+  std::mt19937_64 rng(11 + static_cast<int>(kind));
   std::vector<std::uint64_t> words(256 * 12);
   for (std::uint64_t& w : words) {
-    if (!sparse) {
+    if (kind == Words::kDense) {
       w = rng() | 0x0101010101010101ull;
+    } else if (kind == Words::kScattered) {
+      w = rng() & rng() & rng();
     } else if (rng() % 4 == 0) {
       w = (std::uint64_t{1} << (rng() % 64)) | (std::uint64_t{1} << (rng() % 64));
     } else {
@@ -269,8 +274,8 @@ std::vector<std::uint64_t> signature_inputs(bool sparse) {
   return words;
 }
 
-void hash_words_bench(benchmark::State& state, bool sparse) {
-  const std::vector<std::uint64_t> words = signature_inputs(sparse);
+void hash_words_bench(benchmark::State& state, Words kind) {
+  const std::vector<std::uint64_t> words = signature_inputs(kind);
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -279,11 +284,16 @@ void hash_words_bench(benchmark::State& state, bool sparse) {
   }
 }
 
-void BM_HashWordsSparse(benchmark::State& state) { hash_words_bench(state, true); }
+void BM_HashWordsSparse(benchmark::State& state) { hash_words_bench(state, Words::kSparse); }
 BENCHMARK(BM_HashWordsSparse);
 
-void BM_HashWordsDense(benchmark::State& state) { hash_words_bench(state, false); }
+void BM_HashWordsDense(benchmark::State& state) { hash_words_bench(state, Words::kDense); }
 BENCHMARK(BM_HashWordsDense);
+
+void BM_HashWordsScattered(benchmark::State& state) {
+  hash_words_bench(state, Words::kScattered);
+}
+BENCHMARK(BM_HashWordsScattered);
 
 /// The seeded truncated chart of test_cover_engine at a 100k-node
 /// budget with the pipeline's 16 MiB table, cleared per solve as

@@ -175,8 +175,8 @@ ServeStats serve_impl(std::istream& in, std::ostream& out,
 /// decides evictions, so it is part of the request's identity).
 std::unique_ptr<search::TranspositionTable> make_tt(const ServeConfig& config) {
   if (!config.options.tt || config.options.tt_mb == 0) return nullptr;
-  return std::make_unique<search::TranspositionTable>(config.options.tt_mb
-                                                      << 20);
+  return std::make_unique<search::TranspositionTable>(
+      core::tt_bytes(config.options));
 }
 
 }  // namespace

@@ -64,6 +64,15 @@ std::string options_to_string(const SynthesisOptions& options) {
   return s;
 }
 
+std::size_t tt_bytes(const SynthesisOptions& options) {
+  if (options.tt_mb > kMaxTtMb) {
+    throw std::invalid_argument("tt-mb must be at most " + std::to_string(kMaxTtMb) +
+                                " (MiB per table), got " +
+                                std::to_string(options.tt_mb));
+  }
+  return options.tt_mb << 20;
+}
+
 SynthesisOptions options_from_string(std::string_view text) {
   const auto fail = [](const std::string& why) -> void {
     throw std::runtime_error("options: " + why);
@@ -265,7 +274,7 @@ FantomMachine synthesize(const FlowTable& input, const SynthesisOptions& options
   search::TranspositionTable* memo = nullptr;
   std::unique_ptr<search::TranspositionTable> local_tt;
   if (options.tt) {
-    const std::size_t bytes = static_cast<std::size_t>(options.tt_mb) << 20;
+    const std::size_t bytes = tt_bytes(options);
     if (tt != nullptr &&
         tt->capacity() == search::TranspositionTable::slot_count_for(bytes)) {
       tt->clear();

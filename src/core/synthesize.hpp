@@ -98,7 +98,8 @@ struct SynthesisOptions {
   /// engines.
   bool tt = true;
   /// Transposition-table size in MiB (one table per batch worker); the
-  /// options codec and the CLI accept at most kMaxTtMb.
+  /// options codec and the CLI accept at most kMaxTtMb, and tt_bytes
+  /// rejects more from any caller.
   std::size_t tt_mb = 16;
   assign::AssignOptions assign;
   minimize::ReduceOptions reduce;
@@ -129,6 +130,12 @@ inline constexpr int kOptionsEncodingVersion = 3;
 /// test), so the string can key a content-addressed cache and compare
 /// pipeline configurations across processes.
 [[nodiscard]] std::string options_to_string(const SynthesisOptions& options);
+
+/// The transposition-table size `options.tt_mb` asks for, in bytes — the
+/// one place that turns MiB into bytes.  Throws std::invalid_argument
+/// naming the cap when tt_mb exceeds kMaxTtMb (the shift would wrap from
+/// 2^44 MiB on, and silently hand out a tiny table).
+[[nodiscard]] std::size_t tt_bytes(const SynthesisOptions& options);
 
 /// Inverse of options_to_string.  Absent keys keep their defaults (a
 /// client may send only the knobs it overrides); unknown or duplicate

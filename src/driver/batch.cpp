@@ -457,7 +457,7 @@ BatchReport BatchRunner::run() const {
   const auto fresh_tt = [&]() -> std::shared_ptr<search::TranspositionTable> {
     if (!options_.synthesis.tt || options_.synthesis.tt_mb == 0) return nullptr;
     return std::make_shared<search::TranspositionTable>(
-        options_.synthesis.tt_mb << 20);
+        core::tt_bytes(options_.synthesis));
   };
   // One transposition table per worker, persisting across its jobs:
   // structurally similar corpus jobs warm each other, and worker-local

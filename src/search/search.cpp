@@ -18,8 +18,16 @@ constexpr std::array<std::uint64_t, 9> kFnvPrimePow = [] {
 }();
 
 // `(w - kLowBytes) & ~w & kHighBits` is nonzero iff w has a zero byte.
+// Its bits mark every zero byte, and also a 0x01 byte just above a zero
+// one (the borrow), so their count can only overstate w's zero bytes.
 constexpr std::uint64_t kLowBytes = 0x0101010101010101ull;
 constexpr std::uint64_t kHighBits = 0x8080808080808080ull;
+
+// Set bits of a mask holding only byte-high bits, summed into the top
+// byte by one multiply (no popcount instruction at the default -march).
+constexpr std::uint64_t zero_byte_count(std::uint64_t high_bits) {
+  return ((high_bits >> 7) * kLowBytes) >> 56;
+}
 
 // Replacement key for an incoming key of 0 (the empty-slot sentinel).
 constexpr std::uint64_t kZeroKey = 0x9e3779b97f4a7c15ull;
@@ -48,21 +56,30 @@ std::uint64_t hash_words(const std::uint64_t* words, std::size_t count) {
   // steps, a zero word one multiply of m, and a run of zero bytes in a
   // mixed word one multiply of m.  Before the first nonzero byte m is 1,
   // but g and m are known at entry, so that multiply runs while the
-  // first word loads instead of lengthening the chain.
+  // first word loads instead of lengthening the chain.  The mixed-word
+  // loop takes one data-dependent trip per nonzero-byte run, which loses
+  // to the eight straight steps once a word has five or more nonzero
+  // bytes, so words with at most three zero bytes take the steps too.
   std::uint64_t g = kFnvBasis;
   std::uint64_t m = 1;
+  const auto eight_steps = [&](std::uint64_t w) {
+    g = (g * m) ^ (w & 0xff);
+#pragma GCC unroll 7
+    for (int b = 1; b < 8; ++b) {
+      w >>= 8;
+      g = (g * kFnvPrime) ^ (w & 0xff);
+    }
+    m = kFnvPrime;
+  };
   for (std::size_t i = 0; i < count; ++i) {
     std::uint64_t w = words[i];
-    if (((w - kLowBytes) & ~w & kHighBits) == 0) {  // no zero byte
-      g = (g * m) ^ (w & 0xff);
-#pragma GCC unroll 7
-      for (int b = 1; b < 8; ++b) {
-        w >>= 8;
-        g = (g * kFnvPrime) ^ (w & 0xff);
-      }
-      m = kFnvPrime;
+    const std::uint64_t zero_bytes = (w - kLowBytes) & ~w & kHighBits;
+    if (zero_bytes == 0) {
+      eight_steps(w);
     } else if (w == 0) {
       m *= kFnvPrimePow[8];
+    } else if (zero_byte_count(zero_bytes) <= 3) {
+      eight_steps(w);
     } else {
       int left = 8;  // bytes of w not yet folded in
       do {

@@ -1,33 +1,20 @@
 #include "sim/ternary_netsim.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "logic/ternary.hpp"
 #include "sim/ternary_kernel.hpp"
 
 namespace seance::sim {
 
-using logic::Val3;
 using netlist::Gate;
 using netlist::GateKind;
 using netlist::Netlist;
 
-namespace {
-
-using detail::to_val3;
-
-/// Where the iteration cuts the gate graph: the primary inputs it
-/// drives and the feedback nets it holds as explicit ternary slots.
-struct CutPlan {
-  std::vector<int> x;  ///< nets of inputs x0..x{j-1}
-  std::vector<int> y;  ///< state cut nets (the y placeholder BUFs)
-  int fsv = -1;        ///< fsv cut net, -1 when the layout has no fsv
-};
+namespace detail {
 
 CutPlan locate_cuts(const Netlist& net, const core::VariableLayout& layout) {
   CutPlan plan;
@@ -81,100 +68,150 @@ CutPlan locate_cuts(const Netlist& net, const core::VariableLayout& layout) {
   return plan;
 }
 
+}  // namespace detail
+
+namespace {
+
+using detail::Lanes;
+
 /// Gate-level evaluator for detail::run_procedures.  The slots are the
 /// cut nets; a feedback function is its cut net's gate function over the
-/// current inputs and slots.  Every evaluation re-walks the cone with a
-/// fresh memo, so Gauss-Seidel updates made earlier in the same pass are
+/// current inputs and slots.  Each cut's cone is compiled once, at its
+/// first evaluation, into a tape: the cone's gates in topological order,
+/// stopping at inputs and cut nets.  Running a tape recomputes every gate
+/// of the cone, so Gauss-Seidel updates made earlier in the same pass are
 /// visible — as they are to the cover-level evaluator, which reads the
 /// in-place state vector.
 class GateEval {
  public:
-  GateEval(const Netlist& net, CutPlan plan)
+  GateEval(const Netlist& net, detail::CutPlan plan)
       : net_(net),
         plan_(std::move(plan)),
-        input_val_(static_cast<std::size_t>(net.size()), Val3::k0),
-        cut_slot_(static_cast<std::size_t>(net.size()), Val3::k0),
+        root_(net.size()),
+        val_(static_cast<std::size_t>(net.size()) + 1, detail::kLanes0),
         is_cut_(static_cast<std::size_t>(net.size()), 0),
-        memo_(static_cast<std::size_t>(net.size()), kUnset),
-        on_stack_(static_cast<std::size_t>(net.size()), 0) {
+        tapes_(plan_.y.size() + 1) {
     for (const int y : plan_.y) is_cut_[static_cast<std::size_t>(y)] = 1;
     if (plan_.fsv >= 0) is_cut_[static_cast<std::size_t>(plan_.fsv)] = 1;
   }
 
-  void set_input(int i, Val3 v) {
-    input_val_[static_cast<std::size_t>(plan_.x[static_cast<std::size_t>(i)])] = v;
+  Lanes& input(int i) { return at(plan_.x[static_cast<std::size_t>(i)]); }
+  Lanes& state(int n) { return at(plan_.y[static_cast<std::size_t>(n)]); }
+  Lanes& fsv() { return at(plan_.fsv); }
+  Lanes next_state(int n) {
+    return run(tapes_[static_cast<std::size_t>(n)], plan_.y[static_cast<std::size_t>(n)]);
   }
-  Val3& state(int n) { return slot(plan_.y[static_cast<std::size_t>(n)]); }
-  Val3& fsv() { return slot(plan_.fsv); }
-  Val3 next_state(int n) { return next_value(plan_.y[static_cast<std::size_t>(n)]); }
-  Val3 next_fsv() { return next_value(plan_.fsv); }
+  Lanes next_fsv() { return run(tapes_.back(), plan_.fsv); }
 
  private:
-  static constexpr signed char kUnset = -1;
+  /// One gate of a tape: `out` = kind over the values at args_[begin, end).
+  struct Op {
+    GateKind kind = GateKind::kConst;
+    bool const_value = false;
+    int out = 0;
+    int begin = 0;
+    int end = 0;
+  };
+  struct Tape {
+    bool compiled = false;
+    std::vector<Op> ops;
+  };
 
-  Val3& slot(int net) { return cut_slot_[static_cast<std::size_t>(net)]; }
-
-  /// The gate function of `net` over the current input values and cut
-  /// slots — for a cut net this is its *next* value, not its slot.
-  Val3 next_value(int net) {
-    std::fill(memo_.begin(), memo_.end(), kUnset);
-    return eval_function(net);
+  /// The gate function of cut net `cut` over the current input values
+  /// and cut slots — its *next* value, not its slot.  The tape writes it
+  /// to the scratch value root_, past the nets.
+  Lanes run(Tape& tape, int cut) {
+    if (!tape.compiled) compile(tape, cut);
+    for (const Op& op : tape.ops) {
+      Lanes v;
+      switch (op.kind) {
+        case GateKind::kConst:
+          v = op.const_value ? detail::kLanes1 : detail::kLanes0;
+          break;
+        case GateKind::kBuf:
+          v = arg(op.begin);
+          break;
+        case GateKind::kNot:
+          v = detail::not_lanes(arg(op.begin));
+          break;
+        case GateKind::kAnd:
+          v = detail::kLanes1;
+          for (int k = op.begin; k < op.end; ++k) v = detail::and_lanes(v, arg(k));
+          break;
+        default:  // kOr, kNor; compile() admits no other kind
+          v = detail::kLanes0;
+          for (int k = op.begin; k < op.end; ++k) v = detail::or_lanes(v, arg(k));
+          if (op.kind == GateKind::kNor) v = detail::not_lanes(v);
+          break;
+      }
+      at(op.out) = v;
+    }
+    return at(root_);
   }
 
-  Val3 eval_net(int i) {
-    if (is_cut_[static_cast<std::size_t>(i)] != 0) {
-      return cut_slot_[static_cast<std::size_t>(i)];
-    }
-    const signed char cached = memo_[static_cast<std::size_t>(i)];
-    if (cached != kUnset) return static_cast<Val3>(cached);
-    if (on_stack_[static_cast<std::size_t>(i)] != 0) {
+  Lanes& at(int net) { return val_[static_cast<std::size_t>(net)]; }
+  Lanes& arg(int k) { return at(args_[static_cast<std::size_t>(k)]); }
+
+  /// Emits the cone of `cut` depth-first, fanins in order — the order a
+  /// recursive evaluation would visit them, so a malformed cone raises
+  /// the same error at the same net.
+  void compile(Tape& tape, int cut) {
+    visited_.assign(static_cast<std::size_t>(net_.size()), 0);
+    on_stack_.assign(static_cast<std::size_t>(net_.size()), 0);
+    emit_function(tape, cut, root_);
+    tape.compiled = true;
+  }
+
+  void visit(Tape& tape, int i) {
+    const std::size_t k = static_cast<std::size_t>(i);
+    if (is_cut_[k] != 0 || visited_[k] != 0) return;
+    if (on_stack_[k] != 0) {
       throw std::logic_error("gate_ternary_verify: feedback cycle through net n" +
                              std::to_string(i) + " is not broken by a cut");
     }
-    on_stack_[static_cast<std::size_t>(i)] = 1;
-    const Val3 v = eval_function(i);
-    on_stack_[static_cast<std::size_t>(i)] = 0;
-    memo_[static_cast<std::size_t>(i)] = static_cast<signed char>(v);
-    return v;
+    on_stack_[k] = 1;
+    emit_function(tape, i, i);
+    on_stack_[k] = 0;
+    visited_[k] = 1;
   }
 
-  Val3 eval_function(int i) {
+  void emit_function(Tape& tape, int i, int out) {
     const Gate& g = net_.gates()[static_cast<std::size_t>(i)];
+    Op op{g.kind, g.const_value, out, static_cast<int>(args_.size()), 0};
     switch (g.kind) {
       case GateKind::kInput:
-        return input_val_[static_cast<std::size_t>(i)];
+        return;  // holds its own value, and is never a root (locate_cuts)
       case GateKind::kConst:
-        return to_val3(g.const_value);
+        break;
       case GateKind::kBuf:
-      case GateKind::kNot: {
+      case GateKind::kNot:
         if (g.fanin.size() != 1) {
           throw std::logic_error("gate_ternary_verify: gate n" + std::to_string(i) +
                                  " needs exactly one fanin");
         }
-        const Val3 v = eval_net(g.fanin[0]);
-        return g.kind == GateKind::kBuf ? v : not3(v);
-      }
-      case GateKind::kAnd: {
-        Val3 v = Val3::k1;
-        for (const int f : g.fanin) v = and3(v, eval_net(f));
-        return v;
-      }
+        [[fallthrough]];
+      case GateKind::kAnd:
       case GateKind::kOr:
-      case GateKind::kNor: {
-        Val3 v = Val3::k0;
-        for (const int f : g.fanin) v = or3(v, eval_net(f));
-        return g.kind == GateKind::kOr ? v : not3(v);
-      }
+      case GateKind::kNor:
+        for (const int f : g.fanin) visit(tape, f);
+        op.begin = static_cast<int>(args_.size());
+        args_.insert(args_.end(), g.fanin.begin(), g.fanin.end());
+        break;
+      default:
+        throw std::logic_error("gate_ternary_verify: unknown gate kind");
     }
-    throw std::logic_error("gate_ternary_verify: unknown gate kind");
+    op.end = static_cast<int>(args_.size());
+    tape.ops.push_back(op);
   }
 
   const Netlist& net_;
-  CutPlan plan_;
-  std::vector<Val3> input_val_;
-  std::vector<Val3> cut_slot_;
+  detail::CutPlan plan_;
+  int root_;                ///< scratch value index of the tape being run
+  std::vector<Lanes> val_;  ///< per net: input value, cut slot or gate value
   std::vector<char> is_cut_;
-  std::vector<signed char> memo_;
+  std::vector<Tape> tapes_;  ///< y0..y{N-1}, then fsv
+  std::vector<int> args_;    ///< fanin nets of every tape's ops
+  std::vector<char> visited_;
   std::vector<char> on_stack_;
 };
 
@@ -183,7 +220,7 @@ class GateEval {
 TernaryReport gate_ternary_verify(const Netlist& netlist,
                                   const core::FantomMachine& machine,
                                   bool fsv_low) {
-  GateEval eval(netlist, locate_cuts(netlist, machine.layout));
+  GateEval eval(netlist, detail::locate_cuts(netlist, machine.layout));
   return detail::run_procedures(machine, eval, fsv_low);
 }
 

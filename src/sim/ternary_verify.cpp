@@ -1,16 +1,17 @@
 #include "sim/ternary_verify.hpp"
 
-#include <span>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
-#include "logic/ternary.hpp"
 #include "sim/ternary_kernel.hpp"
 
 namespace seance::sim {
 
-using logic::Val3;
-
 namespace {
+
+using detail::Lanes;
 
 /// Cover-level evaluator for detail::run_procedures: the slots are the
 /// y-space vector (x, y, fsv per VariableLayout) and each feedback
@@ -19,26 +20,43 @@ class CoverEval {
  public:
   explicit CoverEval(const core::FantomMachine& machine)
       : machine_(machine),
-        vars_(static_cast<std::size_t>(machine.layout.y_space_vars()), Val3::k0) {}
+        vars_(static_cast<std::size_t>(machine.layout.y_space_vars())) {}
 
-  void set_input(int i, Val3 v) { vars_[static_cast<std::size_t>(i)] = v; }
-  Val3& state(int n) {
+  Lanes& input(int i) { return vars_[static_cast<std::size_t>(i)]; }
+  Lanes& state(int n) {
     return vars_[static_cast<std::size_t>(machine_.layout.state_var(n))];
   }
-  Val3& fsv() { return vars_[static_cast<std::size_t>(machine_.layout.fsv_var())]; }
-  Val3 next_state(int n) {
-    return eval3(machine_.y[static_cast<std::size_t>(n)].cover, vars_);
+  Lanes& fsv() { return vars_[static_cast<std::size_t>(machine_.layout.fsv_var())]; }
+  Lanes next_state(int n) {
+    return eval(machine_.y[static_cast<std::size_t>(n)].cover);
   }
-  // fsv sees only (x, y).
-  Val3 next_fsv() {
-    return eval3(machine_.fsv.cover,
-                 std::span<const Val3>(vars_).first(
-                     static_cast<std::size_t>(machine_.layout.xy_vars())));
-  }
+  // The fsv cover spans (x, y) only, so it never reads the fsv slot.
+  Lanes next_fsv() { return eval(machine_.fsv.cover); }
 
  private:
+  /// OR over the cubes of the AND of their literals.  A positive literal
+  /// reads the variable's planes as they are, a negative one swapped.
+  Lanes eval(const logic::Cover& cover) const {
+    Lanes result = detail::kLanes0;
+    for (const logic::Cube& c : cover.cubes()) {
+      Lanes term = detail::kLanes1;
+      for (std::uint32_t m = c.care() & c.value(); m != 0; m &= m - 1) {
+        const Lanes& v = vars_[static_cast<std::size_t>(std::countr_zero(m))];
+        term.can0 |= v.can0;
+        term.can1 &= v.can1;
+      }
+      for (std::uint32_t m = c.care() & ~c.value(); m != 0; m &= m - 1) {
+        const Lanes& v = vars_[static_cast<std::size_t>(std::countr_zero(m))];
+        term.can0 |= v.can1;
+        term.can1 &= v.can0;
+      }
+      result = detail::or_lanes(result, term);
+    }
+    return result;
+  }
+
   const core::FantomMachine& machine_;
-  std::vector<Val3> vars_;
+  std::vector<Lanes> vars_;
 };
 
 }  // namespace

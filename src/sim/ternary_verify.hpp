@@ -23,31 +23,6 @@
 
 namespace seance::sim {
 
-namespace detail {
-
-/// The slot-update rule shared by the cover-level and gate-level
-/// verifiers.  Widening must be monotone in the information order
-/// (0,1 below X): an X never narrows back to a binary value
-/// mid-widening, and a binary slot whose next value differs — even if
-/// the next value is binary — goes to X, because "the value moved" is
-/// exactly what some delay assignment can stretch into a glitch.
-/// (An earlier version wrote `next` whenever the slot was already X,
-/// which let a later pass narrow an X back to binary and under-report
-/// Procedure-A violations; the gate-level differential in
-/// test_ternary_netsim pins the monotone rule.)
-inline bool update_slot(logic::Val3& slot, logic::Val3 next, bool widen_only) {
-  if (widen_only) {
-    if (slot == logic::Val3::kX || next == slot) return false;
-    slot = logic::Val3::kX;
-    return true;
-  }
-  if (next == slot) return false;
-  slot = next;
-  return true;
-}
-
-}  // namespace detail
-
 struct TernaryReport {
   int transitions_checked = 0;
   /// Invariant state bits that went to X during Procedure A (function

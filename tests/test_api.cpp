@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <filesystem>
@@ -229,23 +230,45 @@ TEST(ApiSynthesize, UnparsableTableIsAJobFailureNotAThrow) {
   EXPECT_FALSE(response.row.detail.empty());
 }
 
+/// Lowers this process's address-space limit while in scope.
+class AddressSpaceLimit {
+ public:
+  explicit AddressSpaceLimit(rlim_t bytes) {
+    active_ = ::getrlimit(RLIMIT_AS, &saved_) == 0 && saved_.rlim_max >= bytes;
+    if (!active_) return;
+    rlimit lowered = saved_;
+    lowered.rlim_cur = bytes;
+    active_ = ::setrlimit(RLIMIT_AS, &lowered) == 0;
+  }
+  ~AddressSpaceLimit() {
+    if (active_) (void)::setrlimit(RLIMIT_AS, &saved_);
+  }
+  AddressSpaceLimit(const AddressSpaceLimit&) = delete;
+  AddressSpaceLimit& operator=(const AddressSpaceLimit&) = delete;
+  [[nodiscard]] bool active() const { return active_; }
+
+ private:
+  rlimit saved_{};
+  bool active_ = false;
+};
+
 TEST(ApiSynthesize, UnallocatableTableRowIsNotCached) {
   // A row that failed because this host could not allocate the
   // transposition table says nothing about the request: a larger host
-  // would synthesize it.  2^60 bytes is beyond any address space, so
-  // the skip below guards the test rather than being a path it takes.
+  // would synthesize it.  The largest table a request may ask for
+  // (kMaxTtMb, 64 GiB) is made unallocatable by a 16 GiB address-space
+  // limit on this process, so the test never touches that much memory.
 #if defined(__SANITIZE_ADDRESS__)
   GTEST_SKIP() << "ASan aborts on an allocation it cannot serve instead of "
                   "throwing std::bad_alloc";
 #endif
+  const AddressSpaceLimit limit(rlim_t{16} << 30);
+  if (!limit.active()) GTEST_SKIP() << "cannot lower RLIMIT_AS";
   TempDir dir("seance_api_alloc");
   SynthesisRequest request = example_request();
-  request.options.tt_mb = std::size_t{1} << 40;
+  request.options.tt_mb = core::kMaxTtMb;
   ResultCache cache(CacheConfig{dir.str(), 1 << 20});
   const SynthesisResponse first = synthesize(request, &cache);
-  if (first.row.status == driver::JobStatus::kOk) {
-    GTEST_SKIP() << "this host allocated a 2^60-byte table";
-  }
   EXPECT_EQ(first.row.status, driver::JobStatus::kSynthesisError);
   EXPECT_NE(first.row.detail.find("transposition table: cannot allocate"),
             std::string::npos)
@@ -260,6 +283,24 @@ TEST(ApiSynthesize, UnallocatableTableRowIsNotCached) {
   EXPECT_EQ(driver::to_csv_row(again.row), driver::to_csv_row(first.row));
   ResultCache other_server(CacheConfig{dir.str(), 1 << 20});
   EXPECT_EQ(synthesize(request, &other_server).cache, CacheDisposition::kMiss);
+}
+
+TEST(ApiSynthesize, TtMbAboveTheCapIsASynthesisError) {
+  // 2^44 MiB is 2^64 bytes: the MiB-to-bytes shift would wrap to 0 and
+  // run the job on a one-window table.  The cap turns it into an error.
+  SynthesisRequest request = example_request();
+  request.options.tt_mb = std::size_t{1} << 44;
+  const SynthesisResponse response = synthesize(request);
+  EXPECT_EQ(response.row.status, driver::JobStatus::kSynthesisError);
+  EXPECT_EQ(response.row.detail,
+            "tt-mb must be at most 65536 (MiB per table), got 17592186044416");
+
+  driver::BatchOptions batch;
+  batch.threads = 1;
+  batch.synthesis.tt_mb = request.options.tt_mb;
+  driver::BatchRunner runner(batch);
+  runner.add_table1_suite();
+  EXPECT_THROW((void)runner.run(), std::invalid_argument);
 }
 
 TEST(ApiSynthesize, EmptyRequestThrows) {

@@ -121,6 +121,21 @@ TEST(Hashing, HashWordsEqualsByteWiseFnv1a) {
       },
       [&] { return rng(); },
       [&] { return rng() & rng() & rng(); },
+      // Four to seven nonzero bytes scattered among zero ones (the words
+      // routed to the eight-step path by their zero-byte count); a third
+      // of the nonzero bytes are 0x01, which the zero-byte mask also
+      // marks when a zero byte lies just below.
+      [&] {
+        std::uint64_t w = 0;
+        const int nonzero = 4 + static_cast<int>(rng() % 4);
+        for (int placed = 0; placed < nonzero;) {
+          const int b = static_cast<int>(rng() % 8);
+          if (((w >> (8 * b)) & 0xff) != 0) continue;
+          w |= (rng() % 3 == 0 ? 1 : nonzero_byte()) << (8 * b);
+          ++placed;
+        }
+        return w;
+      },
   };
   for (std::size_t count = 0; count <= 40; ++count) {
     for (int trial = 0; trial < 20; ++trial) {

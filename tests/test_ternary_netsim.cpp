@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "bench_suite/benchmarks.hpp"
@@ -11,6 +12,8 @@
 #include "logic/expr.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/verilog.hpp"
+#include "oracles/ternary_reference.hpp"
+#include "sim/ternary_kernel.hpp"
 #include "sim/ternary_verify.hpp"
 
 namespace seance::sim {
@@ -138,17 +141,44 @@ TEST(TernaryNetsim, UpdateSlotIsMonotoneWhenWidening) {
   // An X slot never narrows during widening, whatever the next value.
   for (const Val3 next : {Val3::k0, Val3::k1, Val3::kX}) {
     Val3 slot = Val3::kX;
-    EXPECT_FALSE(detail::update_slot(slot, next, /*widen_only=*/true));
+    EXPECT_FALSE(reference_update_slot(slot, next, /*widen_only=*/true));
     EXPECT_EQ(slot, Val3::kX);
   }
   // A binary slot whose value moves widens to X, never to the new value.
   Val3 slot = Val3::k0;
-  EXPECT_TRUE(detail::update_slot(slot, Val3::k1, /*widen_only=*/true));
+  EXPECT_TRUE(reference_update_slot(slot, Val3::k1, /*widen_only=*/true));
   EXPECT_EQ(slot, Val3::kX);
   // Narrowing (Procedure B) writes the next value through.
   slot = Val3::kX;
-  EXPECT_TRUE(detail::update_slot(slot, Val3::k1, /*widen_only=*/false));
+  EXPECT_TRUE(reference_update_slot(slot, Val3::k1, /*widen_only=*/false));
   EXPECT_EQ(slot, Val3::k1);
+
+  // The kernel's bitplane rule is the same rule in every lane: lane l of
+  // a block holds pair l of the nine (slot, next) pairs.
+  const Val3 values[] = {Val3::k0, Val3::k1, Val3::kX};
+  const auto planes = [](Val3 v, std::uint64_t bit) {
+    return detail::Lanes{v != Val3::k1 ? bit : 0, v != Val3::k0 ? bit : 0};
+  };
+  for (const bool widen : {true, false}) {
+    detail::Lanes slots;
+    detail::Lanes nexts;
+    for (int l = 0; l < 9; ++l) {
+      const std::uint64_t bit = std::uint64_t{1} << l;
+      const detail::Lanes s = planes(values[l / 3], bit);
+      const detail::Lanes n = planes(values[l % 3], bit);
+      slots = {slots.can0 | s.can0, slots.can1 | s.can1};
+      nexts = {nexts.can0 | n.can0, nexts.can1 | n.can1};
+    }
+    const std::uint64_t changed = detail::update_lanes(slots, nexts, widen);
+    for (int l = 0; l < 9; ++l) {
+      const std::uint64_t bit = std::uint64_t{1} << l;
+      Val3 expect = values[l / 3];
+      const bool moved = reference_update_slot(expect, values[l % 3], widen);
+      EXPECT_EQ((changed & bit) != 0, moved) << "lane " << l << " widen " << widen;
+      EXPECT_EQ(slots.can0 & bit, planes(expect, bit).can0) << "lane " << l;
+      EXPECT_EQ(slots.can1 & bit, planes(expect, bit).can1) << "lane " << l;
+    }
+  }
 }
 
 TEST(TernaryNetsim, RejectsNetlistMissingExpectedNets) {
